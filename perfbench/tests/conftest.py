@@ -1,0 +1,11 @@
+"""Make ``perfbench`` and ``repro`` importable when the tests run from
+the repository root without an installed package."""
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+for path in (ROOT, os.path.join(ROOT, "src")):
+    if path not in sys.path:
+        sys.path.insert(0, path)
