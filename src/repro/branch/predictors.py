@@ -301,6 +301,16 @@ class BranchPredictorUnit:
         self.indirect_count = 0
         self.indirect_mispredicts = 0
 
+    @classmethod
+    def from_config(cls, cfg) -> "BranchPredictorUnit":
+        """Build from a :class:`repro.core.config.CoreConfig` (duck-typed to
+        avoid a package cycle)."""
+        return cls(kind=cfg.predictor_kind,
+                   table_bits=cfg.predictor_table_bits,
+                   history_bits=cfg.predictor_history_bits,
+                   ras_depth=cfg.ras_depth,
+                   indirect_bits=cfg.indirect_bits)
+
     # -- internal helpers ------------------------------------------------------
 
     @property

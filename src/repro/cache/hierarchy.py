@@ -203,35 +203,6 @@ class CacheHierarchy:
 
         return data_fastpath
 
-    def access_data_batch(self, addrs, writes=None, pcs=None,
-                          wrong_path: bool = False) -> list:
-        """Resolve an in-order data address stream in one call.
-
-        ``addrs`` is a sequence of byte addresses; ``writes`` (optional)
-        a parallel sequence of store flags, ``pcs`` (optional) a parallel
-        sequence of access pcs (only consulted by the stride prefetcher).
-        Returns the per-access latency list.
-
-        Accesses are resolved strictly left to right through
-        :attr:`data_fastpath` — the hierarchy is stateful and
-        order-sensitive (shared L2/LLC, LRU movement, writebacks), so
-        the batch form is a one-pass flattening, *not* a reordering:
-        per-level hit/miss splits, counters and warm state come out
-        bit-identical to the equivalent :meth:`access_data` loop.
-        """
-        fast = self.data_fastpath
-        if writes is None:
-            if pcs is None:
-                return [fast(addr, False, 0, wrong_path)
-                        for addr in addrs]
-            return [fast(addr, False, pc, wrong_path)
-                    for addr, pc in zip(addrs, pcs)]
-        if pcs is None:
-            return [fast(addr, write, 0, wrong_path)
-                    for addr, write in zip(addrs, writes)]
-        return [fast(addr, write, pc, wrong_path)
-                for addr, write, pc in zip(addrs, writes, pcs)]
-
     # -- warm-state capture/restore ---------------------------------------------------
 
     def state_dict(self) -> dict:

@@ -78,17 +78,30 @@ class OoOCore:
         # untouched when no observer is attached.
         self._obs = None
 
-        # Hot-path bindings: :meth:`process` runs once per simulated
-        # instruction, so the resource objects' internals are bound here
-        # once instead of being re-resolved through two attribute hops per
-        # instruction.  The deques and dicts below are the *same* objects
-        # the public ``rob``/``lq``/``sq``/``ports`` expose — state stays
-        # authoritative for ``restart_at``/``occupancy_at``/snapshotting.
-        self._port_bind = self.ports.bind
-        self._rob_rel = self.rob._releases
-        self._lq_rel = self.lq._releases
-        self._sq_rel = self.sq._releases
-        self._cc_entries = self.code_cache._entries
+        # Hot-path bindings for :meth:`process_batch`, resolved once: the
+        # config constants, plus the containers (and their bound methods)
+        # that are mutated in place but never replaced.  They are the
+        # *same* objects the public ``rob``/``lq``/``sq``/``ports``/
+        # ``code_cache`` expose, so state stays authoritative for
+        # ``restart_at``/``occupancy_at``/snapshotting.  One tuple unpack
+        # per batch matters because the multicore driver runs one
+        # instruction per batch.
+        rob_rel = self.rob._releases
+        lq_rel = self.lq._releases
+        sq_rel = self.sq._releases
+        self._batch_env = (
+            self.code_cache._entries, self.code_cache._timing.get,
+            self.ports.hot, self.regready, self._store_buffer,
+            self._store_buffer.get,
+            rob_rel, rob_rel.append, rob_rel.popleft,
+            lq_rel, lq_rel.append, lq_rel.popleft,
+            sq_rel, sq_rel.append, sq_rel.popleft,
+            self.fetch, self.dispatch, self.commit,
+            cfg.fetch_width, cfg.dispatch_width, cfg.commit_width,
+            self._line_shift, INSTRUCTION_SIZE, cfg.l1i_latency,
+            cfg.frontend_depth, cfg.rob_size, cfg.load_queue,
+            cfg.store_queue, cfg.store_latency, cfg.syscall_latency,
+            cfg.forward_latency, cfg.taken_redirect_bubble)
         # Timing superhandlers (repro.core.timingblock): compiled
         # per-block functions are pure (all mutable state passed per
         # call), pooled process-wide under this fingerprint.
@@ -100,155 +113,6 @@ class OoOCore:
         #: Wrong-path instructions run through compiled stream blocks
         #: (repro.wrongpath.streamblock); same guard, wrong-path side.
         self.streamblock_instructions = 0
-
-    # -- main per-instruction path -------------------------------------------------
-
-    def process(self, di: DynInstr) -> None:
-        """Simulate one correct-path instruction.
-
-        This is the simulator's hottest function (one call per simulated
-        instruction), so the slot-allocator and window-buffer steps are
-        inlined: the code below manipulates ``fetch``/``dispatch``/
-        ``commit``/``rob``/``lq``/``sq`` state directly, cycle-for-cycle
-        equivalent to the ``allocate``/``commit`` methods in
-        :mod:`repro.core.resources` (which remain the readable reference
-        semantics and are still used by the wrong-path executor).
-        """
-        cfg = self.cfg
-        stats = self.stats
-        instr = di.instr
-        pc = di.pc
-        if instr.pc not in self._cc_entries:   # inlined CodeCache.insert
-            self.code_cache.insert(instr)
-
-        # ---- fetch: I-cache + fetch bandwidth
-        fetch = self.fetch
-        line = pc >> self._line_shift
-        if line != self._cur_fetch_line:
-            self._cur_fetch_line = line
-            latency = self.hierarchy.access_instr(pc)
-            penalty = latency - cfg.l1i_latency
-            if penalty > 0:
-                fetch.cycle += penalty   # restart_at(cycle + penalty)
-                fetch.used = 0
-        # fetch.allocate(0): the cycle is monotonic, so 0 never restarts it.
-        fetch_c = fetch.cycle
-        used = fetch.used + 1
-        if used >= fetch.width:
-            fetch.cycle = fetch_c + 1
-            fetch.used = 0
-        else:
-            fetch.used = used
-
-        # ---- dispatch: frontend depth, ROB/LQ/SQ, dispatch bandwidth
-        dispatch_req = fetch_c + cfg.frontend_depth
-        rob_rel = self._rob_rel
-        if len(rob_rel) >= cfg.rob_size:       # rob.allocate(dispatch_req)
-            oldest = rob_rel.popleft()
-            if oldest > dispatch_req:
-                dispatch_req = oldest
-        is_load = instr.is_load
-        is_store = instr.is_store
-        if is_load:
-            lq_rel = self._lq_rel
-            if len(lq_rel) >= cfg.load_queue:  # lq.allocate(dispatch_req)
-                oldest = lq_rel.popleft()
-                if oldest > dispatch_req:
-                    dispatch_req = oldest
-        elif is_store:
-            sq_rel = self._sq_rel
-            if len(sq_rel) >= cfg.store_queue:  # sq.allocate(dispatch_req)
-                oldest = sq_rel.popleft()
-                if oldest > dispatch_req:
-                    dispatch_req = oldest
-        dispatch = self.dispatch               # dispatch.allocate(...)
-        if dispatch_req > dispatch.cycle:
-            dispatch.cycle = dispatch_req
-            dispatch.used = 0
-        dispatch_c = dispatch.cycle
-        used = dispatch.used + 1
-        if used >= dispatch.width:
-            dispatch.cycle = dispatch_c + 1
-            dispatch.used = 0
-        else:
-            dispatch.used = used
-
-        # ---- ready + issue
-        ready = dispatch_c + 1
-        regready = self.regready
-        for reg in instr.reads:
-            t = regready[reg]
-            if t > ready:
-                ready = t
-        issue, fu_latency = self._port_bind[instr.fu]
-        issue_c = issue(ready)
-
-        # ---- execute / complete
-        if is_load:
-            stats.loads += 1
-            addr = di.mem_addr
-            word = addr & ~3
-            drain = self._store_buffer.get(word)
-            if drain is not None and drain > issue_c:
-                stats.store_forwards += 1
-                latency = cfg.forward_latency
-            else:
-                latency = self.hierarchy.access_data(addr, False, pc=pc)
-            complete = issue_c + latency
-        elif is_store:
-            stats.stores += 1
-            complete = issue_c + cfg.store_latency
-        elif instr.is_syscall:
-            stats.syscalls += 1
-            complete = issue_c + cfg.syscall_latency
-        else:
-            complete = issue_c + fu_latency
-
-        for reg in instr.writes:
-            regready[reg] = complete
-
-        # ---- retire (in order, commit bandwidth)
-        retire_req = complete + 1
-        if retire_req < self.last_retire:
-            retire_req = self.last_retire
-        commit = self.commit                   # commit.allocate(retire_req)
-        if retire_req > commit.cycle:
-            commit.cycle = retire_req
-            commit.used = 0
-        retire_c = commit.cycle
-        used = commit.used + 1
-        if used >= commit.width:
-            commit.cycle = retire_c + 1
-            commit.used = 0
-        else:
-            commit.used = used
-        self.last_retire = retire_c
-        rob_rel.append(retire_c)               # rob.commit(retire_c)
-        if is_load:
-            self._lq_rel.append(complete)      # lq.commit(complete)
-        elif is_store:
-            self._sq_rel.append(retire_c)      # sq.commit(retire_c)
-            # Drain to the memory hierarchy post-retirement.
-            addr = di.mem_addr
-            self.hierarchy.access_data(addr, True, pc=pc)
-            self._store_buffer[addr & ~3] = retire_c + 1
-
-        stats.instructions += 1
-
-        # ---- control flow: prediction, redirects, wrong-path window
-        if instr.is_control:
-            next_pc = di.next_pc
-            prediction = self.bpu.predict_and_update(instr, di.taken,
-                                                     next_pc)
-            if prediction != next_pc:
-                self._handle_mispredict(di, prediction, fetch_c, complete)
-            elif next_pc != instr.pc + INSTRUCTION_SIZE:  # fall-through?
-                stats.taken_redirects += 1
-                at = fetch_c + cfg.taken_redirect_bubble  # fetch.restart_at
-                if at > fetch.cycle or (at == fetch.cycle and fetch.used):
-                    fetch.cycle = at
-                    fetch.used = 0
-                self._cur_fetch_line = -1
 
     def _compile_timing(self, pc: int):
         """Resolve the timing superhandler for the block at ``pc``.
@@ -278,73 +142,71 @@ class OoOCore:
         cc._timing[pc] = entry
         return entry
 
+    def drain(self, queue, limit: Optional[int] = None) -> int:
+        """Simulate instructions from ``queue`` until it runs dry or
+        ``limit`` have been simulated; returns the number simulated.
+
+        The one driver loop over :meth:`process_batch`: ``prepare()``
+        compacts and refills the queue, and each batch walks the refilled
+        buffer directly.
+        """
+        processed = 0
+        while limit is None or processed < limit:
+            available = queue.prepare()
+            if available == 0:
+                break
+            if limit is not None and available > limit - processed:
+                available = limit - processed
+            processed += self.process_batch(queue, available)
+        return processed
+
     # simcheck: hotpath
     def process_batch(self, queue, count: int) -> int:
-        """Consume and simulate ``count`` instructions directly from the
-        runahead queue's buffer; returns the number processed.
+        """Consume and simulate the next ``count`` instructions directly
+        from the runahead queue's buffer; returns ``count``.
 
-        This is the batched form of :meth:`process` used by
-        ``Simulator.run``: all mutable core state (slot allocators, stat
-        counters, the fetch line) lives in locals for the duration of the
-        batch and is flushed back to the live objects at batch end — and,
-        crucially, *before* every mispredict, so the wrong-path models and
-        the queue's ``window()`` peeks observe exactly the state the
-        per-instruction path would show them.  Cycle-for-cycle and
-        stat-for-stat identical to ``count`` ``process(queue.pop())``
-        calls; :meth:`process` remains the readable reference semantics
-        (and the entry point for single-instruction callers).
+        The caller guarantees ``count <= len(queue)`` (``prepare()``
+        returns how many are available).  This is the core's only
+        correct-path timing model.  All mutable core state (slot
+        allocators, stat counters, the fetch line) lives in locals for
+        the duration of the batch and is flushed back to the live objects
+        at batch end — and, crucially, *before* every mispredict, so the
+        wrong-path models and the queue's ``window()`` peeks observe the
+        core exactly as of the mispredicting branch.  Each instruction
+        either runs through the scalar body below, which inlines the
+        ``allocate``/``commit`` steps of :mod:`repro.core.resources` (the
+        readable reference semantics, still used by the wrong-path
+        executor), or as part of a compiled timing block
+        (:mod:`repro.core.timingblock`) that is bit-identical to it; both
+        share one control-flow and mispredict tail.
         """
         buf = queue._buf
         i = queue._head
         end = i + count
-        cfg = self.cfg
+        (cc_entries, tb_get, port_hot, regready, store_buffer, sb_get,
+         rob_rel, rob_append, rob_popleft, lq_rel, lq_append, lq_popleft,
+         sq_rel, sq_append, sq_popleft, fetch, dispatch, commit,
+         fetch_width, disp_width, com_width, line_shift, isize,
+         l1i_latency, frontend_depth, rob_size, load_queue, store_queue,
+         store_latency, syscall_latency, forward_latency,
+         taken_bubble) = self._batch_env
+        # Methods stay per-batch lookups: profilers and tests patch them
+        # on the class.
         stats = self.stats
         hierarchy = self.hierarchy
         l1i_access = hierarchy.l1i.access   # access_instr minus the hop
         access_data = hierarchy.data_fastpath
         bpu_predict = self.bpu.predict_and_update
-        cc_entries = self._cc_entries
         cc_insert = self.code_cache.insert
-        port_hot = self.ports.hot
-        rob_rel = self._rob_rel
-        rob_append = rob_rel.append
-        rob_popleft = rob_rel.popleft
-        lq_rel = self._lq_rel
-        sq_rel = self._sq_rel
-        regready = self.regready
-        store_buffer = self._store_buffer
-        sb_get = store_buffer.get
-        tb_get = self.code_cache._timing.get
         tb_compile = self._compile_timing
-        lq_popleft = lq_rel.popleft
-        lq_append = lq_rel.append
-        sq_popleft = sq_rel.popleft
-        sq_append = sq_rel.append
-        fetch = self.fetch
-        dispatch = self.dispatch
-        commit = self.commit
         fetch_cycle = fetch.cycle
         fetch_used = fetch.used
-        fetch_width = fetch.width
         disp_cycle = dispatch.cycle
         disp_used = dispatch.used
-        disp_width = dispatch.width
         com_cycle = commit.cycle
         com_used = commit.used
-        com_width = commit.width
         cur_line = self._cur_fetch_line
         last_retire = self.last_retire
-        line_shift = self._line_shift
-        isize = INSTRUCTION_SIZE
-        l1i_latency = cfg.l1i_latency
-        frontend_depth = cfg.frontend_depth
-        rob_size = cfg.rob_size
-        load_queue = cfg.load_queue
-        store_queue = cfg.store_queue
-        store_latency = cfg.store_latency
-        syscall_latency = cfg.syscall_latency
-        forward_latency = cfg.forward_latency
-        taken_bubble = cfg.taken_redirect_bubble
         n_instr = n_loads = n_stores = n_sysc = n_fwd = n_redir = 0
         tb_count = 0
 
@@ -353,10 +215,10 @@ class OoOCore:
             pc = di.pc
             # ---- block fast path: the memoized code-cache block at
             # ``pc`` runs through its compiled timing superhandler when
-            # the whole block fits the batch (entry[1] = length).  The
-            # control-flow handling below mirrors the scalar tail: the
-            # block ends *at* its control instruction, whose fetch and
-            # completion cycles the compiled run returns.
+            # the whole block fits the batch (entry[1] = length).  A block
+            # ends *at* its control instruction, whose fetch and
+            # completion cycles the compiled run returns for the shared
+            # control-flow tail below.
             entry = tb_get(pc)
             if entry is None:
                 entry = tb_compile(pc)
@@ -378,188 +240,156 @@ class OoOCore:
                 n_stores += entry[4]
                 n_sysc += entry[5]
                 n_fwd += fwd
-                if entry[2]:
-                    di = buf[i - 1]
-                    instr = di.instr
-                    next_pc = di.next_pc
-                    prediction = bpu_predict(instr, di.taken, next_pc)
-                    if prediction != next_pc:
-                        queue._head = i
-                        fetch.cycle = fetch_cycle
-                        fetch.used = fetch_used
-                        dispatch.cycle = disp_cycle
-                        dispatch.used = disp_used
-                        commit.cycle = com_cycle
-                        commit.used = com_used
-                        self._cur_fetch_line = cur_line
-                        self.last_retire = last_retire
-                        stats.instructions += n_instr
-                        stats.loads += n_loads
-                        stats.stores += n_stores
-                        stats.syscalls += n_sysc
-                        stats.store_forwards += n_fwd
-                        stats.taken_redirects += n_redir
-                        n_instr = n_loads = n_stores = n_sysc = 0
-                        n_fwd = n_redir = 0
-                        self._handle_mispredict(di, prediction, fetch_c,
-                                                complete)
-                        fetch_cycle = fetch.cycle
-                        fetch_used = fetch.used
-                        cur_line = self._cur_fetch_line
-                    elif next_pc != di.pc + isize:
-                        n_redir += 1
-                        at = fetch_c + taken_bubble
-                        if at > fetch_cycle or (at == fetch_cycle and
-                                                fetch_used):
-                            fetch_cycle = at
-                            fetch_used = 0
-                        cur_line = -1
-                continue
-            i += 1
-            instr = di.instr
-            if pc not in cc_entries:
-                cc_insert(instr)
+                if not entry[2]:
+                    continue
+                di = buf[i - 1]
+                instr = di.instr
+                pc = di.pc
+            else:
+                i += 1
+                instr = di.instr
+                if pc not in cc_entries:
+                    cc_insert(instr)
 
-            # ---- fetch: I-cache + fetch bandwidth
-            line = pc >> line_shift
-            if line != cur_line:
-                cur_line = line
-                penalty = l1i_access(pc, False, False) - l1i_latency
-                if penalty > 0:
-                    fetch_cycle += penalty
+                # ---- fetch: I-cache + fetch bandwidth
+                line = pc >> line_shift
+                if line != cur_line:
+                    cur_line = line
+                    penalty = l1i_access(pc, False, False) - l1i_latency
+                    if penalty > 0:
+                        fetch_cycle += penalty
+                        fetch_used = 0
+                fetch_c = fetch_cycle
+                fetch_used += 1
+                if fetch_used >= fetch_width:
+                    fetch_cycle = fetch_c + 1
                     fetch_used = 0
-            fetch_c = fetch_cycle
-            fetch_used += 1
-            if fetch_used >= fetch_width:
-                fetch_cycle = fetch_c + 1
-                fetch_used = 0
 
-            # ---- dispatch: frontend depth, ROB/LQ/SQ, dispatch bandwidth
-            dispatch_req = fetch_c + frontend_depth
-            if len(rob_rel) >= rob_size:
-                oldest = rob_popleft()
-                if oldest > dispatch_req:
-                    dispatch_req = oldest
-            is_load = instr.is_load
-            is_store = instr.is_store
-            if is_load:
-                if len(lq_rel) >= load_queue:
-                    oldest = lq_rel.popleft()
+                # ---- dispatch: frontend depth, ROB/LQ/SQ, bandwidth
+                dispatch_req = fetch_c + frontend_depth
+                if len(rob_rel) >= rob_size:
+                    oldest = rob_popleft()
                     if oldest > dispatch_req:
                         dispatch_req = oldest
-            elif is_store:
-                if len(sq_rel) >= store_queue:
-                    oldest = sq_rel.popleft()
-                    if oldest > dispatch_req:
-                        dispatch_req = oldest
-            if dispatch_req > disp_cycle:
-                disp_cycle = dispatch_req
-                disp_used = 0
-            dispatch_c = disp_cycle
-            disp_used += 1
-            if disp_used >= disp_width:
-                disp_cycle = dispatch_c + 1
-                disp_used = 0
+                is_load = instr.is_load
+                is_store = instr.is_store
+                if is_load:
+                    if len(lq_rel) >= load_queue:
+                        oldest = lq_popleft()
+                        if oldest > dispatch_req:
+                            dispatch_req = oldest
+                elif is_store:
+                    if len(sq_rel) >= store_queue:
+                        oldest = sq_popleft()
+                        if oldest > dispatch_req:
+                            dispatch_req = oldest
+                if dispatch_req > disp_cycle:
+                    disp_cycle = dispatch_req
+                    disp_used = 0
+                dispatch_c = disp_cycle
+                disp_used += 1
+                if disp_used >= disp_width:
+                    disp_cycle = dispatch_c + 1
+                    disp_used = 0
 
-            # ---- ready + issue (inlined PortGroup.issue)
-            ready = dispatch_c + 1
-            for reg in instr.reads:
-                t = regready[reg]
-                if t > ready:
-                    ready = t
-            free, busy, single, fu_latency = port_hot[instr.fu]
-            if single:
-                best_cycle = free[0]
-                issue_c = ready if ready >= best_cycle else best_cycle
-                free[0] = issue_c + busy
-            else:
-                best_cycle = min(free)
-                issue_c = ready if ready >= best_cycle else best_cycle
-                free[free.index(best_cycle)] = issue_c + busy
-
-            # ---- execute / complete
-            if is_load:
-                n_loads += 1
-                addr = di.mem_addr
-                drain = sb_get(addr & ~3)
-                if drain is not None and drain > issue_c:
-                    n_fwd += 1
-                    complete = issue_c + forward_latency
+                # ---- ready + issue (inlined PortGroup.issue)
+                ready = dispatch_c + 1
+                for reg in instr.reads:
+                    t = regready[reg]
+                    if t > ready:
+                        ready = t
+                free, busy, single, fu_latency = port_hot[instr.fu]
+                if single:
+                    best_cycle = free[0]
+                    issue_c = ready if ready >= best_cycle else best_cycle
+                    free[0] = issue_c + busy
                 else:
-                    complete = issue_c + access_data(addr, False, pc)
-            elif is_store:
-                n_stores += 1
-                complete = issue_c + store_latency
-            elif instr.is_syscall:
-                n_sysc += 1
-                complete = issue_c + syscall_latency
-            else:
-                complete = issue_c + fu_latency
+                    best_cycle = min(free)
+                    issue_c = ready if ready >= best_cycle else best_cycle
+                    free[free.index(best_cycle)] = issue_c + busy
 
-            for reg in instr.writes:
-                regready[reg] = complete
+                # ---- execute / complete
+                if is_load:
+                    n_loads += 1
+                    addr = di.mem_addr
+                    drain = sb_get(addr & ~3)
+                    if drain is not None and drain > issue_c:
+                        n_fwd += 1
+                        complete = issue_c + forward_latency
+                    else:
+                        complete = issue_c + access_data(addr, False, pc)
+                elif is_store:
+                    n_stores += 1
+                    complete = issue_c + store_latency
+                elif instr.is_syscall:
+                    n_sysc += 1
+                    complete = issue_c + syscall_latency
+                else:
+                    complete = issue_c + fu_latency
 
-            # ---- retire (in order, commit bandwidth)
-            retire_req = complete + 1
-            if retire_req < last_retire:
-                retire_req = last_retire
-            if retire_req > com_cycle:
-                com_cycle = retire_req
-                com_used = 0
-            retire_c = com_cycle
-            com_used += 1
-            if com_used >= com_width:
-                com_cycle = retire_c + 1
-                com_used = 0
-            last_retire = retire_c
-            rob_append(retire_c)
-            if is_load:
-                lq_rel.append(complete)
-            elif is_store:
-                sq_rel.append(retire_c)
-                addr = di.mem_addr
-                access_data(addr, True, pc)
-                store_buffer[addr & ~3] = retire_c + 1
+                for reg in instr.writes:
+                    regready[reg] = complete
 
-            n_instr += 1
+                # ---- retire (in order, commit bandwidth)
+                retire_req = complete + 1
+                if retire_req < last_retire:
+                    retire_req = last_retire
+                if retire_req > com_cycle:
+                    com_cycle = retire_req
+                    com_used = 0
+                retire_c = com_cycle
+                com_used += 1
+                if com_used >= com_width:
+                    com_cycle = retire_c + 1
+                    com_used = 0
+                last_retire = retire_c
+                rob_append(retire_c)
+                if is_load:
+                    lq_append(complete)
+                elif is_store:
+                    sq_append(retire_c)
+                    addr = di.mem_addr
+                    access_data(addr, True, pc)
+                    store_buffer[addr & ~3] = retire_c + 1
+
+                n_instr += 1
+                if not instr.is_control:
+                    continue
 
             # ---- control flow: prediction, redirects, wrong-path window
-            if instr.is_control:
-                next_pc = di.next_pc
-                prediction = bpu_predict(instr, di.taken, next_pc)
-                if prediction != next_pc:
-                    # Flush local state to the live objects: the wrong-path
-                    # models read the core and peek the queue.
-                    queue._head = i
-                    fetch.cycle = fetch_cycle
-                    fetch.used = fetch_used
-                    dispatch.cycle = disp_cycle
-                    dispatch.used = disp_used
-                    commit.cycle = com_cycle
-                    commit.used = com_used
-                    self._cur_fetch_line = cur_line
-                    self.last_retire = last_retire
-                    stats.instructions += n_instr
-                    stats.loads += n_loads
-                    stats.stores += n_stores
-                    stats.syscalls += n_sysc
-                    stats.store_forwards += n_fwd
-                    stats.taken_redirects += n_redir
-                    n_instr = n_loads = n_stores = n_sysc = 0
-                    n_fwd = n_redir = 0
-                    self._handle_mispredict(di, prediction, fetch_c,
-                                            complete)
-                    fetch_cycle = fetch.cycle
-                    fetch_used = fetch.used
-                    cur_line = self._cur_fetch_line
-                elif next_pc != pc + isize:  # taken, correctly predicted
-                    n_redir += 1
-                    at = fetch_c + taken_bubble
-                    if at > fetch_cycle or (at == fetch_cycle and
-                                            fetch_used):
-                        fetch_cycle = at
-                        fetch_used = 0
-                    cur_line = -1
+            next_pc = di.next_pc
+            prediction = bpu_predict(instr, di.taken, next_pc)
+            if prediction != next_pc:
+                # Flush local state to the live objects: the wrong-path
+                # models read the core and peek the queue.
+                queue._head = i
+                fetch.cycle = fetch_cycle
+                fetch.used = fetch_used
+                dispatch.cycle = disp_cycle
+                dispatch.used = disp_used
+                commit.cycle = com_cycle
+                commit.used = com_used
+                self._cur_fetch_line = cur_line
+                self.last_retire = last_retire
+                stats.instructions += n_instr
+                stats.loads += n_loads
+                stats.stores += n_stores
+                stats.syscalls += n_sysc
+                stats.store_forwards += n_fwd
+                stats.taken_redirects += n_redir
+                n_instr = n_loads = n_stores = n_sysc = 0
+                n_fwd = n_redir = 0
+                self._handle_mispredict(di, prediction, fetch_c, complete)
+                fetch_cycle = fetch.cycle
+                fetch_used = fetch.used
+                cur_line = self._cur_fetch_line
+            elif next_pc != pc + isize:  # taken, correctly predicted
+                n_redir += 1
+                at = fetch_c + taken_bubble
+                if at > fetch_cycle or (at == fetch_cycle and fetch_used):
+                    fetch_cycle = at
+                    fetch_used = 0
+                cur_line = -1
 
         queue._head = end
         fetch.cycle = fetch_cycle

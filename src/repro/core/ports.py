@@ -81,13 +81,6 @@ class PortFile:
             "fp_div": cfg.fp_div_latency, "load": 0,
             "store": cfg.store_latency, "branch": cfg.branch_latency,
         }
-        # fu name -> (bound issue method, result latency): one dict lookup
-        # per issued instruction on the hot path instead of two plus a
-        # method-dispatch hop.
-        self.bind: Dict[str, tuple] = {
-            name: (group.issue, self.latency[name])
-            for name, group in self.groups.items()
-        }
         # fu name -> (free_at list, busy, single-port?, result latency):
         # lets the batched core loop inline the issue scan with no call at
         # all.  ``free_at`` is aliased, never replaced (snapshot/restore

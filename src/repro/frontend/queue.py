@@ -4,45 +4,49 @@ Functional-first simulation keeps the functional simulator "tens up to
 thousands" of instructions ahead of the performance simulator (Section II).
 The queue provides:
 
-* ``pop()`` — consume the next correct-path instruction,
+* ``prepare()`` — compact the consumed prefix and refill, returning how
+  many instructions the timing model may consume directly,
 * ``window(n)`` — peek at the next ``n`` future correct-path instructions
   without consuming them, which is exactly the capability the convergence
   exploitation technique uses ("the functional model runs ahead of the
   performance model, so we can take a peek in the future correct-path
   instructions"),
-* automatic refill from a producer callable; if the producer cannot supply
-  enough instructions (program about to exit), the window is simply shorter,
-  matching the paper's note that convergence checking is skipped when not
-  enough instructions are queued.
+* refill from a producer callable (``n -> list`` of up to ``n``
+  instructions); if the producer cannot supply enough instructions
+  (program about to exit), the window is simply shorter, matching the
+  paper's note that convergence checking is skipped when not enough
+  instructions are queued.
 
 Storage is a plain list plus a head index rather than a deque: ``window``
-becomes a slice, and the batched simulator loop
-(:meth:`repro.core.ooo.OoOCore.process_batch`) can walk ``_buf`` directly and
-advance ``_head`` itself — consuming the queue without one ``pop()`` call per
-instruction.  ``prepare()`` compacts the consumed prefix and refills between
-batches.  An optional ``batch_producer`` (``n -> list``) refills the buffer
-in one call instead of one producer call per instruction.
+becomes a slice, and the timing model
+(:meth:`repro.core.ooo.OoOCore.process_batch`) walks ``_buf`` directly and
+advances ``_head`` itself, with no call per consumed instruction.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from repro.frontend.dyninstr import DynInstr
 
-Producer = Callable[[], Optional[DynInstr]]
-BatchProducer = Callable[[int], List[DynInstr]]
+Producer = Callable[[int], List[DynInstr]]
+
+
+def runahead_depth(cfg) -> int:
+    """Queue depth for a core built from ``cfg`` (a
+    :class:`repro.core.config.CoreConfig`, duck-typed to avoid a package
+    cycle).  The conv model peeks ROB-size instructions ahead, so the
+    queue must run ahead at least that far plus slack."""
+    return max(2 * cfg.rob_size + 128, 1024)
 
 
 class RunaheadQueue:
     """Decoupling queue with peek-ahead."""
 
-    def __init__(self, producer: Producer, depth: int = 2048,
-                 batch_producer: Optional[BatchProducer] = None):
+    def __init__(self, producer: Producer, depth: int = 2048):
         if depth < 1:
             raise ValueError("queue depth must be >= 1")
         self._producer = producer
-        self._batch_producer = batch_producer
         self.depth = depth
         self._buf: List[DynInstr] = []
         self._head = 0
@@ -58,41 +62,17 @@ class RunaheadQueue:
         buffer indices stay valid across mid-batch peeks."""
         need = target - (len(self._buf) - self._head)
         if need > 0 and not self._exhausted:
-            batch = self._batch_producer
-            if batch is not None:
-                items = batch(need)
-                self._buf.extend(items)
-                if len(items) < need:
-                    self._exhausted = True
-            else:
-                buf = self._buf
-                producer = self._producer
-                while need > 0:
-                    item = producer()
-                    if item is None:
-                        self._exhausted = True
-                        break
-                    buf.append(item)
-                    need -= 1
+            items = self._producer(need)
+            self._buf.extend(items)
+            if len(items) < need:
+                self._exhausted = True
         occupancy = len(self._buf) - self._head
         if occupancy > self.max_occupancy:
             self.max_occupancy = occupancy
 
-    def pop(self) -> Optional[DynInstr]:
-        """Next correct-path instruction, or None when the program ended."""
-        head = self._head
-        if head >= len(self._buf):
-            self._buf.clear()
-            self._head = head = 0
-            self._fill(self.depth)
-            if not self._buf:
-                return None
-        item = self._buf[head]
-        self._head = head + 1
-        return item
-
     def window(self, n: int) -> List[DynInstr]:
-        """Peek at up to ``n`` future instructions (index 0 = next pop).
+        """Peek at up to ``n`` future instructions (index 0 = the next one
+        consumed).
 
         May return fewer than ``n`` near program exit.
         """

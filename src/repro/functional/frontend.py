@@ -61,42 +61,21 @@ class FunctionalFrontend:
         # ``produce_batch`` call, never inside the unrolled loop.
         self._obs = None
 
-    def produce(self) -> Optional[DynInstr]:
-        """One correct-path instruction, or None after program exit."""
-        result = self.emulator.step()
-        if result is None:
-            return None
-        instr, pc, next_pc, taken, mem_addr = result
-        wp_trace = None
-        if self.predictor is not None and instr.is_control:
-            prediction = self.predictor.predict_and_update(instr, taken,
-                                                           next_pc)
-            if self.emulate_wrong_path and prediction != next_pc:
-                wp_trace = self.emulator.emulate_wrong_path(prediction,
-                                                            self.wp_limit)
-                self.wp_emulations += 1
-                self.wp_instructions_emulated += len(wp_trace)
-        di = DynInstr(self._seq, instr, pc, next_pc, taken, mem_addr,
-                      wp_trace)
-        self._seq += 1
-        return di
-
     # simcheck: hotpath
     def produce_batch(self, n: int) -> List[DynInstr]:
         """Up to ``n`` correct-path instructions in one call.
 
-        This is :meth:`produce` with the emulator's fetch/dispatch loop
-        unrolled into one frame *and* specialized per basic block: runs
-        of straight-line code execute through compiled superhandlers
+        The runahead queue's producer; a short return means the program
+        exited.  The emulator's fetch/dispatch loop is unrolled into one
+        frame *and* specialized per basic block: runs of straight-line
+        code execute through compiled superhandlers
         (:mod:`repro.functional.superblock`) — one dispatch per block,
         constants baked, DynInstrs appended by the rendered code — with
         scalar per-instruction dispatch covering syscalls, text holes
-        and block tails that no longer fit the batch.  The queue uses it
-        to refill; a short return means the program exited.  Instruction
+        and block tails that no longer fit the batch.  Instruction
         semantics, predictor lockstep, wrong-path emulation triggering
-        and the produced :class:`DynInstr` stream are identical to
-        repeated ``produce()`` calls (the determinism goldens and the
-        superblock property suite pin this down).
+        and the produced :class:`DynInstr` stream are identical on both
+        paths (the superblock property suite pins this down).
         """
         out: List[DynInstr] = []
         emu = self.emulator

@@ -122,20 +122,25 @@ class TraceFrontend:
         self.wp_emulations = 0
         self.wp_instructions_emulated = 0
 
-    def produce(self) -> Optional[DynInstr]:
+    def produce_batch(self, n: int) -> List[DynInstr]:
+        """Up to ``n`` further records as DynInstrs; a short return means
+        the trace ended (the runahead queue's producer contract)."""
         records = self.trace.records
-        if self._cursor >= len(records):
-            return None
-        pc, next_pc, taken, mem_addr = records[self._cursor]
-        self._cursor += 1
-        instr = self.trace.program.instruction_at(pc)
-        if instr is None:
-            raise TraceError(
-                f"trace references pc {pc:#x} outside the program text "
-                "(trace/program mismatch)")
-        di = DynInstr(self._seq, instr, pc, next_pc, taken, mem_addr)
-        self._seq += 1
-        return di
+        instruction_at = self.trace.program.instruction_at
+        stop = min(self._cursor + n, len(records))
+        out = []
+        seq = self._seq
+        for pc, next_pc, taken, mem_addr in records[self._cursor:stop]:
+            instr = instruction_at(pc)
+            if instr is None:
+                raise TraceError(
+                    f"trace references pc {pc:#x} outside the program "
+                    "text (trace/program mismatch)")
+            out.append(DynInstr(seq, instr, pc, next_pc, taken, mem_addr))
+            seq += 1
+        self._cursor = stop
+        self._seq = seq
+        return out
 
     def rewind(self) -> None:
         """Restart replay from the beginning."""
@@ -163,7 +168,7 @@ def simulate_trace(trace: InstructionTrace, technique: str = "nowp",
     from repro.cache.hierarchy import CacheHierarchy
     from repro.core.config import CoreConfig
     from repro.core.ooo import OoOCore
-    from repro.frontend.queue import RunaheadQueue
+    from repro.frontend.queue import RunaheadQueue, runahead_depth
     from repro.simulator.simulation import (SimulationResult, TECHNIQUES)
 
     if technique == "wpemul":
@@ -177,22 +182,12 @@ def simulate_trace(trace: InstructionTrace, technique: str = "nowp",
     import time
     start = time.perf_counter()
     frontend = TraceFrontend(trace)
-    queue = RunaheadQueue(frontend.produce,
-                          depth=max(2 * cfg.rob_size + 128, 1024))
-    bpu = BranchPredictorUnit(
-        kind=cfg.predictor_kind, table_bits=cfg.predictor_table_bits,
-        history_bits=cfg.predictor_history_bits, ras_depth=cfg.ras_depth,
-        indirect_bits=cfg.indirect_bits)
+    queue = RunaheadQueue(frontend.produce_batch, depth=runahead_depth(cfg))
+    bpu = BranchPredictorUnit.from_config(cfg)
     hierarchy = CacheHierarchy.from_config(cfg)
     core = OoOCore(cfg, hierarchy, bpu, TECHNIQUES[technique](),
                    queue=queue)
-    processed = 0
-    while max_instructions is None or processed < max_instructions:
-        di = queue.pop()
-        if di is None:
-            break
-        core.process(di)
-        processed += 1
+    core.drain(queue, max_instructions)
     stats = core.finalize()
     wall = time.perf_counter() - start
     return SimulationResult(name, technique, cfg, stats, hierarchy, bpu,

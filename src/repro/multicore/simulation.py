@@ -34,7 +34,7 @@ from repro.cache.cache import Cache, MainMemory
 from repro.cache.hierarchy import CacheHierarchy
 from repro.core.config import CoreConfig
 from repro.core.ooo import OoOCore
-from repro.frontend.queue import RunaheadQueue
+from repro.frontend.queue import RunaheadQueue, runahead_depth
 from repro.functional.frontend import FunctionalFrontend
 from repro.functional.memory import Memory
 from repro.isa.program import Program
@@ -49,17 +49,13 @@ class CoreContext:
                  shared_memory: MainMemory):
         self.index = index
         emulate_wp = technique == WrongPathEmulation.name
-        predictor_args = dict(
-            kind=cfg.predictor_kind, table_bits=cfg.predictor_table_bits,
-            history_bits=cfg.predictor_history_bits,
-            ras_depth=cfg.ras_depth, indirect_bits=cfg.indirect_bits)
         self.frontend = FunctionalFrontend(
             program, Memory(), emulate_wrong_path=emulate_wp,
-            predictor=BranchPredictorUnit(**predictor_args)
+            predictor=BranchPredictorUnit.from_config(cfg)
             if emulate_wp else None,
             wp_limit=cfg.rob_size + cfg.wp_frontend_buffer)
-        self.queue = RunaheadQueue(self.frontend.produce,
-                                   depth=max(2 * cfg.rob_size + 128, 1024))
+        self.queue = RunaheadQueue(self.frontend.produce_batch,
+                                   depth=runahead_depth(cfg))
         self.hierarchy = CacheHierarchy(
             line_size=cfg.line_size,
             l1i_size=cfg.l1i_size, l1i_assoc=cfg.l1i_assoc,
@@ -73,22 +69,26 @@ class CoreContext:
             prefetch_degree=cfg.prefetch_degree,
             shared_llc=shared_llc, shared_memory=shared_memory)
         self.core = OoOCore(cfg, self.hierarchy,
-                            BranchPredictorUnit(**predictor_args),
+                            BranchPredictorUnit.from_config(cfg),
                             TECHNIQUES[technique](), queue=self.queue)
         self.processed = 0
-        self.done = False
 
     @property
     def last_retire(self) -> int:
         return self.core.last_retire
 
     def step(self) -> bool:
-        """Process one instruction; returns False when the stream ends."""
-        di = self.queue.pop()
-        if di is None:
-            self.done = True
+        """Process one instruction; returns False when the stream ends.
+
+        One instruction per step keeps the shared LLC seeing the cores'
+        accesses in retirement order.  The queue refills only once it is
+        empty, so each refill hands the frontend a whole queue depth and
+        its compiled superblocks still fit.
+        """
+        queue = self.queue
+        if not len(queue) and not queue.prepare():
             return False
-        self.core.process(di)
+        self.core.process_batch(queue, 1)
         self.processed += 1
         return True
 
@@ -162,8 +162,8 @@ class MulticoreSimulator:
             # Advance the core that is furthest behind in retired time, so
             # shared-LLC accesses interleave in approximate time order.
             ctx = min(active, key=lambda c: c.last_retire)
-            if not ctx.step() or (cap is not None
-                                  and ctx.processed >= cap):
+            if (cap is not None and ctx.processed >= cap) \
+                    or not ctx.step():
                 active.remove(ctx)
         wall = time.perf_counter() - start
         return MulticoreResult(self.technique, cores, shared_llc,

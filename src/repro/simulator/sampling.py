@@ -62,7 +62,7 @@ from repro.core.config import CoreConfig
 from repro.core.ooo import OoOCore
 from repro.core.stats import CoreStats
 from repro.frontend.code_cache import CodeCache
-from repro.frontend.queue import RunaheadQueue
+from repro.frontend.queue import RunaheadQueue, runahead_depth
 from repro.functional.frontend import FunctionalFrontend
 from repro.functional.memory import Memory
 from repro.isa.program import Program
@@ -188,19 +188,6 @@ def _warm(core: OoOCore, di) -> None:
         core.bpu.predict_and_update(instr, di.taken, di.next_pc)
 
 
-def _make_bpu(cfg: CoreConfig) -> BranchPredictorUnit:
-    return BranchPredictorUnit(
-        kind=cfg.predictor_kind, table_bits=cfg.predictor_table_bits,
-        history_bits=cfg.predictor_history_bits, ras_depth=cfg.ras_depth,
-        indirect_bits=cfg.indirect_bits)
-
-
-def _queue_depth(cfg: CoreConfig) -> int:
-    # The conv model peeks ROB-size instructions ahead, so the queue must
-    # run ahead at least that far plus slack (same rule as Simulator).
-    return max(2 * cfg.rob_size + 128, 1024)
-
-
 # -- streaming mode ------------------------------------------------------------
 
 
@@ -236,11 +223,12 @@ def simulate_sampled(program: Program, technique: str = "nowp",
     emulate_wp = technique == WrongPathEmulation.name
     frontend = FunctionalFrontend(
         program, Memory(), emulate_wrong_path=emulate_wp,
-        predictor=_make_bpu(cfg) if emulate_wp else None,
+        predictor=BranchPredictorUnit.from_config(cfg)
+        if emulate_wp else None,
         wp_limit=cfg.rob_size + cfg.wp_frontend_buffer)
-    queue = RunaheadQueue(frontend.produce, depth=_queue_depth(cfg),
-                          batch_producer=frontend.produce_batch)
-    core = OoOCore(cfg, CacheHierarchy.from_config(cfg), _make_bpu(cfg),
+    queue = RunaheadQueue(frontend.produce_batch, depth=runahead_depth(cfg))
+    core = OoOCore(cfg, CacheHierarchy.from_config(cfg),
+                   BranchPredictorUnit.from_config(cfg),
                    TECHNIQUES[technique](), queue=queue)
 
     gated = gate_warm_wp and emulate_wp
@@ -303,15 +291,8 @@ def simulate_sampled(program: Program, technique: str = "nowp",
         # detailed interval does not charge the skipped region.
         core.fetch.restart_at(core.last_retire)
         core._cur_fetch_line = -1
-        ran = 0
-        while ran < budget:
-            available = queue.prepare()
-            if available == 0:
-                exhausted = True
-                break
-            if available > budget - ran:
-                available = budget - ran
-            ran += core.process_batch(queue, available)
+        ran = core.drain(queue, budget)
+        exhausted = ran < budget
         processed += ran
         if ran:
             intervals += 1
@@ -359,7 +340,7 @@ def functional_pass(program: Program, config: Optional[CoreConfig] = None,
     cfg = config if config is not None else CoreConfig()
     frontend = FunctionalFrontend(program, Memory())
     hierarchy = CacheHierarchy.from_config(cfg)
-    bpu = _make_bpu(cfg)
+    bpu = BranchPredictorUnit.from_config(cfg)
     code_cache = CodeCache()
     line_shift = cfg.line_size.bit_length() - 1
     cur_line = -1
@@ -491,12 +472,12 @@ def _run_interval(program: Program, cfg: CoreConfig, technique: str,
     emulate_wp = technique == WrongPathEmulation.name
     frontend = FunctionalFrontend(
         program, Memory(), emulate_wrong_path=emulate_wp,
-        predictor=_make_bpu(cfg) if emulate_wp else None,
+        predictor=BranchPredictorUnit.from_config(cfg)
+        if emulate_wp else None,
         wp_limit=cfg.rob_size + cfg.wp_frontend_buffer)
-    queue = RunaheadQueue(frontend.produce, depth=_queue_depth(cfg),
-                          batch_producer=frontend.produce_batch)
+    queue = RunaheadQueue(frontend.produce_batch, depth=runahead_depth(cfg))
     hierarchy = CacheHierarchy.from_config(cfg)
-    timing_bpu = _make_bpu(cfg)
+    timing_bpu = BranchPredictorUnit.from_config(cfg)
     code_cache = CodeCache()
     # One restore covers both predictor copies (frontend + timing), so
     # wpemul intervals start in lockstep by construction.
@@ -504,15 +485,7 @@ def _run_interval(program: Program, cfg: CoreConfig, technique: str,
                      code_cache=code_cache)
     core = OoOCore(cfg, hierarchy, timing_bpu, TECHNIQUES[technique](),
                    code_cache=code_cache, queue=queue)
-    processed = 0
-    process_batch = core.process_batch
-    while processed < length:
-        available = queue.prepare()
-        if available == 0:
-            break
-        if available > length - processed:
-            available = length - processed
-        processed += process_batch(queue, available)
+    core.drain(queue, length)
     stats = core.finalize()
     wall = time.perf_counter() - start
     return SampleIntervalResult(workload, technique, snapshot.index,

@@ -27,7 +27,7 @@ from repro.cache.hierarchy import CacheHierarchy
 from repro.core.config import CoreConfig
 from repro.core.ooo import OoOCore
 from repro.core.stats import CoreStats
-from repro.frontend.queue import RunaheadQueue
+from repro.frontend.queue import RunaheadQueue, runahead_depth
 from repro.functional.frontend import FunctionalFrontend
 from repro.functional.memory import Memory
 from repro.isa.program import Program
@@ -188,10 +188,8 @@ class Simulator:
         self.config = config if config is not None else CoreConfig()
         self.technique = technique
         self.max_instructions = max_instructions
-        # The conv model peeks ROB-size instructions ahead, so the queue
-        # must run ahead at least that far plus slack.
         if queue_depth is None:
-            queue_depth = max(2 * self.config.rob_size + 128, 1024)
+            queue_depth = runahead_depth(self.config)
         self.queue_depth = queue_depth
         self.name = name
         # Optional repro.obs.Observability (duck-typed so the simulator
@@ -211,16 +209,16 @@ class Simulator:
         cfg = self.config
         start = time.perf_counter()
 
-        timing_bpu = self._make_bpu()
+        timing_bpu = BranchPredictorUnit.from_config(cfg)
         wp_model = TECHNIQUES[self.technique]()
         emulate_wp = self.technique == WrongPathEmulation.name
         frontend = FunctionalFrontend(
             self.program, Memory(),
             emulate_wrong_path=emulate_wp,
-            predictor=self._make_bpu() if emulate_wp else None,
+            predictor=BranchPredictorUnit.from_config(cfg)
+            if emulate_wp else None,
             wp_limit=cfg.rob_size + cfg.wp_frontend_buffer)
-        queue = RunaheadQueue(frontend.produce, depth=self.queue_depth,
-                              batch_producer=frontend.produce_batch)
+        queue = RunaheadQueue(frontend.produce_batch, depth=self.queue_depth)
         hierarchy = CacheHierarchy.from_config(cfg)
         core = OoOCore(cfg, hierarchy, timing_bpu, wp_model, queue=queue)
         self.frontend = frontend
@@ -232,20 +230,7 @@ class Simulator:
             obs.attach(frontend=frontend, queue=queue, core=core,
                        hierarchy=hierarchy, bpu=timing_bpu)
 
-        # Consume the queue in refill-sized batches: ``prepare()`` compacts
-        # and refills, ``process_batch`` walks the buffer directly.  Same
-        # instruction-by-instruction semantics as pop()/process(), without
-        # two function calls per simulated instruction.
-        processed = 0
-        limit = self.max_instructions
-        process_batch = core.process_batch
-        while limit is None or processed < limit:
-            available = queue.prepare()
-            if available == 0:
-                break
-            if limit is not None and available > limit - processed:
-                available = limit - processed
-            processed += process_batch(queue, available)
+        core.drain(queue, self.max_instructions)
         stats = core.finalize()
 
         wall = time.perf_counter() - start
@@ -257,15 +242,6 @@ class Simulator:
         if obs is not None:
             obs.finalize(result)
         return result
-
-    def _make_bpu(self) -> BranchPredictorUnit:
-        cfg = self.config
-        return BranchPredictorUnit(
-            kind=cfg.predictor_kind,
-            table_bits=cfg.predictor_table_bits,
-            history_bits=cfg.predictor_history_bits,
-            ras_depth=cfg.ras_depth,
-            indirect_bits=cfg.indirect_bits)
 
 
 def simulate(program: Program, technique: str = "nowp",

@@ -7,6 +7,10 @@ must match what the unoptimized reference produced.  This test pins the
 full :meth:`SimulationResult.to_dict` payload — cycles, IPC, cache and
 predictor stats, wrong-path accounting — for two representative
 workloads under all four techniques against committed SHA-256 digests.
+It pins the two other drivers of the same timing model the same way: a
+2-core shared-LLC :class:`MulticoreSimulator` run (per-core counters,
+shared-LLC stats, outputs) and trace replay through
+:func:`simulate_trace`.
 
 If an intentional modeling change alters these numbers, regenerate the
 digests (see ``tests/data/determinism_golden.json``) in the same commit
@@ -20,6 +24,9 @@ import os
 
 import pytest
 
+from repro.core.config import CoreConfig
+from repro.functional.trace import InstructionTrace, simulate_trace
+from repro.multicore import MulticoreSimulator
 from repro.simulator.simulation import ALL_TECHNIQUES, Simulator
 from repro.workloads import build_workload
 
@@ -27,6 +34,12 @@ GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data",
                            "determinism_golden.json")
 WORKLOADS = ("gap.bfs", "spec.int.xz_like")
 MAX_INSTRUCTIONS = 30000
+MULTICORE_WORKLOADS = ("gap.bfs", "spec.int.hashjoin_like")
+MULTICORE_TECHNIQUES = ("nowp", "conv", "wpemul")
+TRACE_WORKLOAD = "gap.bfs"
+TRACE_TECHNIQUES = ("nowp", "instrec", "conv")
+MULTICORE_KEY = "multicore/" + "+".join(MULTICORE_WORKLOADS)
+TRACE_KEY = "trace/" + TRACE_WORKLOAD
 
 
 def _digest(result_dict: dict) -> str:
@@ -46,7 +59,7 @@ def goldens():
 @pytest.fixture(scope="module")
 def programs():
     return {name: build_workload(name, scale="small", check=False)
-            for name in WORKLOADS}
+            for name in WORKLOADS + MULTICORE_WORKLOADS}
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -64,6 +77,44 @@ def test_simulation_matches_golden_digest(workload, technique, goldens,
         "a hot-path change altered observable semantics")
 
 
+@pytest.mark.parametrize("technique", MULTICORE_TECHNIQUES)
+def test_multicore_matches_golden_digest(technique, goldens, programs):
+    """Two cores over one shared LLC: the scaled config's small LLC makes
+    each core's (wrong-path) fills visible in the other's numbers."""
+    key = f"{MULTICORE_KEY}/{technique}"
+    assert key in goldens, f"no committed digest for {key}"
+    result = MulticoreSimulator(
+        [programs[name].program for name in MULTICORE_WORKLOADS],
+        config=CoreConfig.scaled(), technique=technique,
+        max_instructions_per_core=MAX_INSTRUCTIONS).run()
+    digest = _digest({
+        "wall_seconds": result.wall_seconds,
+        "cores": [stats.counters() for stats in result.core_stats],
+        "llc": result.llc_stats.as_dict(),
+        "memory_accesses": result.memory_accesses,
+        "outputs": result.outputs,
+    })
+    assert digest == goldens[key], (
+        f"{key}: multicore output diverged from the committed golden")
+
+
+@pytest.fixture(scope="module")
+def trace(programs):
+    return InstructionTrace.record(programs[TRACE_WORKLOAD].program)
+
+
+@pytest.mark.parametrize("technique", TRACE_TECHNIQUES)
+def test_trace_replay_matches_golden_digest(technique, goldens, trace):
+    key = f"{TRACE_KEY}/{technique}"
+    assert key in goldens, f"no committed digest for {key}"
+    result = simulate_trace(trace, technique=technique,
+                            max_instructions=MAX_INSTRUCTIONS)
+    assert _digest(result.to_dict()) == goldens[key], (
+        f"{key}: trace replay diverged from the committed golden")
+
+
 def test_golden_file_covers_all_configs(goldens):
     expected = {f"{w}/{t}" for w in WORKLOADS for t in ALL_TECHNIQUES}
+    expected |= {f"{MULTICORE_KEY}/{t}" for t in MULTICORE_TECHNIQUES}
+    expected |= {f"{TRACE_KEY}/{t}" for t in TRACE_TECHNIQUES}
     assert set(goldens) == expected

@@ -26,22 +26,39 @@ class TestDynInstr:
 class TestRunaheadQueue:
     def make_producer(self, count):
         items = [make_di(i) for i in range(count)]
-        iterator = iter(items)
-        return lambda: next(iterator, None), items
+        pending = list(items)
+
+        def produce(n):
+            batch = pending[:n]
+            del pending[:n]
+            return batch
+        return produce, items
+
+    @staticmethod
+    def consume(queue, n):
+        """Take the next ``n`` prepared instructions the way the timing
+        model's batch loop does: read ``_buf`` and advance ``_head``."""
+        head = queue._head
+        taken = queue._buf[head:head + n]
+        queue._head = head + len(taken)
+        return taken
 
     def test_pop_in_order(self):
         producer, items = self.make_producer(5)
         queue = RunaheadQueue(producer, depth=3)
-        got = [queue.pop() for _ in range(5)]
+        got = []
+        while queue.prepare():
+            got += self.consume(queue, 2)
         assert [d.seq for d in got] == [0, 1, 2, 3, 4]
-        assert queue.pop() is None
+        assert queue.prepare() == 0
 
     def test_window_does_not_consume(self):
         producer, _ = self.make_producer(10)
         queue = RunaheadQueue(producer, depth=4)
         window = queue.window(3)
         assert [d.seq for d in window] == [0, 1, 2]
-        assert queue.pop().seq == 0
+        queue.prepare()
+        assert self.consume(queue, 1)[0].seq == 0
 
     def test_window_larger_than_remaining(self):
         producer, _ = self.make_producer(3)
@@ -57,20 +74,22 @@ class TestRunaheadQueue:
         producer, _ = self.make_producer(2)
         queue = RunaheadQueue(producer, depth=4)
         assert not queue.exhausted
-        queue.pop()
-        queue.pop()
-        assert queue.pop() is None
+        assert queue.prepare() == 2
+        assert not queue.exhausted      # producer dry, buffer not
+        self.consume(queue, 2)
+        assert queue.prepare() == 0
         assert queue.exhausted
 
     def test_max_occupancy_tracked(self):
         producer, _ = self.make_producer(10)
         queue = RunaheadQueue(producer, depth=6)
-        queue.pop()
+        queue.prepare()
+        self.consume(queue, 1)
         assert queue.max_occupancy >= 6
 
     def test_invalid_depth(self):
         with pytest.raises(ValueError):
-            RunaheadQueue(lambda: None, depth=0)
+            RunaheadQueue(lambda n: [], depth=0)
 
 
 class TestCodeCache:

@@ -81,12 +81,13 @@ class TestBasics:
         assert multi.core_stats[0].wp_fetched == single.stats.wp_fetched
 
     def test_max_instructions_per_core(self, pointer_program):
-        result = MulticoreSimulator(
-            [pointer_program, pointer_program],
-            config=CoreConfig.scaled(), technique="nowp",
-            max_instructions_per_core=2000).run()
-        for stats in result.core_stats:
-            assert stats.instructions == 2000
+        for cap in (2000, 0):
+            result = MulticoreSimulator(
+                [pointer_program, pointer_program],
+                config=CoreConfig.scaled(), technique="nowp",
+                max_instructions_per_core=cap).run()
+            for stats in result.core_stats:
+                assert stats.instructions == cap, cap
 
 
 class TestInterference:

@@ -7,6 +7,7 @@ from repro.cache.hierarchy import CacheHierarchy
 from repro.core.config import CoreConfig
 from repro.core.ooo import OoOCore
 from repro.frontend.dyninstr import DynInstr
+from repro.frontend.queue import RunaheadQueue
 from repro.isa.instructions import Instruction
 from repro.wrongpath.nowp import NoWrongPath
 
@@ -23,14 +24,29 @@ def di_for(seq, ins, pc, next_pc=None, taken=False, mem_addr=None):
                     else pc + 4, taken, mem_addr)
 
 
+def run(core, dis):
+    """Simulate the DynInstr list ``dis`` through a runahead queue."""
+    pending = list(dis)
+
+    def produce(n):
+        batch = pending[:n]
+        del pending[:n]
+        return batch
+
+    queue = RunaheadQueue(produce, depth=16)
+    assert core.drain(queue) == len(dis)
+    return core
+
+
 def straightline(core, ops, base=0x1000, mem_addr=0x200000):
     """Feed a straight-line sequence of (op, rd, rs1, rs2) tuples."""
+    dis = []
     for i, spec in enumerate(ops):
         op, rd, rs1, rs2 = spec
         ins = Instruction(op, rd=rd, rs1=rs1, rs2=rs2, imm=0)
         addr = mem_addr if ins.is_mem else None
-        core.process(di_for(i, ins, base + 4 * i, mem_addr=addr))
-    return core.finalize()
+        dis.append(di_for(i, ins, base + 4 * i, mem_addr=addr))
+    return run(core, dis).finalize()
 
 
 class TestBasicPipeline:
@@ -57,16 +73,16 @@ class TestBasicPipeline:
         # Same address: first access misses, rest hit.
         seq = [("lw", 1, 2, 0), ("add", 3, 1, 1)] * 20
         hit_stats = straightline(hits, seq, mem_addr=0x40)
-        cold = make_core(cfg)
         # New line every time: every load misses all the way to memory.
+        dis = []
         for i in range(20):
             ins = Instruction("lw", rd=1, rs1=2, imm=0)
             core_addr = 0x100000 + i * 4096
-            cold.process(di_for(2 * i, ins, 0x1000 + 8 * i,
-                                mem_addr=core_addr))
+            dis.append(di_for(2 * i, ins, 0x1000 + 8 * i,
+                              mem_addr=core_addr))
             add = Instruction("add", rd=3, rs1=1, rs2=1)
-            cold.process(di_for(2 * i + 1, add, 0x1004 + 8 * i))
-        cold_stats = cold.finalize()
+            dis.append(di_for(2 * i + 1, add, 0x1004 + 8 * i))
+        cold_stats = run(make_core(cfg), dis).finalize()
         assert cold_stats.cycles > hit_stats.cycles
 
     def test_div_slower_than_add(self):
@@ -75,12 +91,11 @@ class TestBasicPipeline:
         assert divs.cycles > adds.cycles
 
     def test_store_then_load_forwards(self):
-        core = make_core()
         store = Instruction("sw", rs1=2, rs2=3, imm=0)
-        core.process(di_for(0, store, 0x1000, mem_addr=0x300000))
         load = Instruction("lw", rd=4, rs1=2, imm=0)
-        core.process(di_for(1, load, 0x1004, mem_addr=0x300000))
-        stats = core.finalize()
+        stats = run(make_core(), [
+            di_for(0, store, 0x1000, mem_addr=0x300000),
+            di_for(1, load, 0x1004, mem_addr=0x300000)]).finalize()
         assert stats.store_forwards == 1
 
     def test_rob_limits_inflight(self):
@@ -93,15 +108,15 @@ class TestBasicPipeline:
 class TestBranches:
     def run_branch_loop(self, iterations, taken_pattern, cfg=None):
         """A single static branch executed many times."""
-        core = make_core(cfg)
         target = 0x2000
+        dis = []
         for i in range(iterations):
             ins = Instruction("beq", rs1=1, rs2=2, target=target)
             taken = taken_pattern(i)
             next_pc = target if taken else 0x1004
-            core.process(di_for(i, ins, 0x1000, next_pc=next_pc,
-                                taken=taken))
-        return core
+            dis.append(di_for(i, ins, 0x1000, next_pc=next_pc,
+                              taken=taken))
+        return run(make_core(cfg), dis)
 
     def test_predictable_branch_trains(self):
         core = self.run_branch_loop(200, lambda i: True)
@@ -123,9 +138,8 @@ class TestBranches:
         assert bad_stats.cycles > good_stats.cycles
 
     def test_syscall_counted(self):
-        core = make_core()
         ins = Instruction("ecall")
-        core.process(di_for(0, ins, 0x1000))
+        core = run(make_core(), [di_for(0, ins, 0x1000)])
         assert core.finalize().syscalls == 1
 
 
@@ -135,10 +149,10 @@ class TestICache:
         near = make_core(cfg)
         # 512 instructions in a tight footprint.
         stats_near = straightline(near, [("add", 1, 2, 3)] * 512)
-        far = make_core(cfg)
-        for i in range(512):
-            ins = Instruction("add", rd=1, rs1=2, rs2=3)
-            far.process(di_for(i, ins, 0x1000 + i * 4096))  # line per instr
+        far = run(make_core(cfg), [  # one I-cache line per instruction
+            di_for(i, Instruction("add", rd=1, rs1=2, rs2=3),
+                   0x1000 + i * 4096)
+            for i in range(512)])
         stats_far = far.finalize()
         assert stats_far.cycles > stats_near.cycles
         assert far.hierarchy.l1i.stats.misses > \

@@ -171,58 +171,33 @@ def _dyn_items(count):
     return out
 
 
+def _taker(items):
+    """A queue producer (``n -> list``) handing out ``items`` in order."""
+    def take(n):
+        out = items[:n]
+        del items[:n]
+        return out
+    return take
+
+
 class TestQueueProperties:
     @given(st.integers(min_value=0, max_value=200),
            st.integers(min_value=1, max_value=64),
-           st.integers(min_value=0, max_value=32))
-    def test_window_prefix_of_pops(self, count, depth, peek):
-        iterator = iter(_dyn_items(count))
-        queue = RunaheadQueue(lambda: next(iterator, None), depth=depth)
+           st.integers(min_value=0, max_value=32),
+           st.integers(min_value=1, max_value=70))
+    def test_window_prefix_of_pops(self, count, depth, peek, grab):
+        """A peek is a prefix of what the consumer then takes from the
+        head, in ``grab``-sized steps after each ``prepare``."""
+        queue = RunaheadQueue(_taker(_dyn_items(count)), depth=depth)
         window = [d.seq for d in queue.window(peek)]
         pops = []
-        while True:
-            di = queue.pop()
-            if di is None:
-                break
-            pops.append(di.seq)
+        while queue.prepare():
+            take = queue._buf[:grab]
+            pops.extend(d.seq for d in take)
+            queue._head = len(take)
         assert pops == list(range(count))
         assert window == pops[:len(window)]
-
-    @given(st.integers(min_value=0, max_value=150),
-           st.integers(min_value=1, max_value=64),
-           st.lists(st.one_of(
-               st.tuples(st.just("pop")),
-               st.tuples(st.just("prepare")),
-               st.tuples(st.just("window"),
-                         st.integers(min_value=0, max_value=32))),
-               max_size=40))
-    def test_batch_refill_matches_scalar_producer(self, count, depth,
-                                                  ops):
-        """A batch_producer-backed queue is observationally identical
-        to the one-item-producer queue under any op interleaving."""
-        scalar_items = iter(_dyn_items(count))
-        scalar = RunaheadQueue(lambda: next(scalar_items, None),
-                               depth=depth)
-        remaining = _dyn_items(count)
-
-        def take(n):
-            out = remaining[:n]
-            del remaining[:n]
-            return out
-
-        batch = RunaheadQueue(lambda: None, depth=depth,
-                              batch_producer=take)
-        for op in ops:
-            if op[0] == "pop":
-                a, b = scalar.pop(), batch.pop()
-                assert (a.seq if a else None) == (b.seq if b else None)
-            elif op[0] == "prepare":
-                assert scalar.prepare() == batch.prepare()
-            else:
-                assert [d.seq for d in scalar.window(op[1])] \
-                    == [d.seq for d in batch.window(op[1])]
-            assert len(scalar) == len(batch)
-            assert scalar.exhausted == batch.exhausted
+        assert queue.exhausted
 
     @given(st.integers(min_value=0, max_value=150),
            st.integers(min_value=1, max_value=32),
@@ -232,18 +207,9 @@ class TestQueueProperties:
             self, count, depth, takes):
         """The batched-consumer contract (prepare, then walk ``_buf``
         and advance ``_head``, exactly as ``OoOCore.process_batch``
-        does) consumes the same FIFO stream a naive pop-queue would,
-        and ``prepare`` always refills to depth or runs the producer
-        dry."""
-        remaining = _dyn_items(count)
-
-        def take(n):
-            out = remaining[:n]
-            del remaining[:n]
-            return out
-
-        queue = RunaheadQueue(lambda: None, depth=depth,
-                              batch_producer=take)
+        does) consumes the producer's stream in FIFO order, and
+        ``prepare`` always refills to depth or runs the producer dry."""
+        queue = RunaheadQueue(_taker(_dyn_items(count)), depth=depth)
         reference = list(range(count))
         consumed = []
         for want in takes:

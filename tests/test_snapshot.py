@@ -44,11 +44,7 @@ def program():
 
 def _make_components(cfg):
     hierarchy = CacheHierarchy.from_config(cfg)
-    bpu = BranchPredictorUnit(
-        kind=cfg.predictor_kind, table_bits=cfg.predictor_table_bits,
-        history_bits=cfg.predictor_history_bits, ras_depth=cfg.ras_depth,
-        indirect_bits=cfg.indirect_bits)
-    return hierarchy, bpu, CodeCache()
+    return hierarchy, BranchPredictorUnit.from_config(cfg), CodeCache()
 
 
 def _warm_snapshot(program, count=4000):

@@ -13,8 +13,9 @@ variants of the same run against each other:
   (correct path) and the wrong-path emulator, compiled vs scalar;
 * full ``Simulator`` runs per technique with the timing and stream
   layers force-disabled, compared stat-for-stat via ``to_dict``;
-* the vectorized data-cache batch path against the per-access
-  reference implementation (latencies, counters, warm state);
+* the flattened data-cache fast path against the per-access
+  reference implementation under every L2 prefetcher (latencies,
+  counters, warm state);
 * CodeCache invalidation of the compiled pc-maps on insert and
   snapshot restore;
 * the process-wide artifact pools and the per-program shared
@@ -22,6 +23,7 @@ variants of the same run against each other:
 """
 
 import contextlib
+import dataclasses
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -291,39 +293,36 @@ def test_simulation_matches_scalar_paths(name, technique):
 
 
 # ---------------------------------------------------------------------------
-# Vectorized cache batch path vs the per-access reference.
+# Flattened cache fast path vs the per-access reference, per prefetcher.
 # ---------------------------------------------------------------------------
 
-class TestCacheBatchOracle:
-    @settings(max_examples=40, deadline=None)
-    @given(accesses=st.lists(
-        st.tuples(st.integers(0, 1 << 18).map(lambda a: a & ~3),
-                  st.booleans(), st.integers(0, 4096)),
-        min_size=1, max_size=64),
-        wrong_path=st.booleans())
-    def test_batch_matches_sequential(self, accesses, wrong_path):
-        cfg = CoreConfig.scaled()
-        batch_h = CacheHierarchy.from_config(cfg)
-        ref_h = CacheHierarchy.from_config(cfg)
-        addrs = [a for a, _, _ in accesses]
-        writes = [w for _, w, _ in accesses]
-        pcs = [p for _, _, p in accesses]
-        got = batch_h.access_data_batch(addrs, writes, pcs,
-                                        wrong_path=wrong_path)
-        want = [ref_h.access_data(a, w, p, wrong_path)
-                for a, w, p in accesses]
-        assert got == want
-        assert batch_h.stats() == ref_h.stats()
-        assert batch_h.state_dict() == ref_h.state_dict()
+#: Runs of strided accesses from a few pcs, so the stride prefetcher
+#: trains and fires: (pc, first address, stride, length, write, wrong).
+_ACCESS_RUNS = st.lists(st.tuples(
+    st.sampled_from((0x1000, 0x1004, 0x1008)),
+    st.integers(1 << 12, 1 << 18).map(lambda a: a & ~3),
+    st.sampled_from((0, 4, 64, 192, -64)),
+    st.integers(1, 8), st.booleans(), st.booleans()),
+    min_size=1, max_size=16)
 
-    def test_batch_optional_arguments(self):
-        cfg = CoreConfig.scaled()
-        batch_h = CacheHierarchy.from_config(cfg)
+
+class TestCacheFastpathOracle:
+    @pytest.mark.parametrize("prefetcher", [None, "next_line", "stride"])
+    @settings(max_examples=40, deadline=None)
+    @given(runs=_ACCESS_RUNS)
+    def test_fastpath_matches_reference(self, prefetcher, runs):
+        cfg = dataclasses.replace(CoreConfig.scaled(),
+                                  l2_prefetcher=prefetcher)
+        fast_h = CacheHierarchy.from_config(cfg)
         ref_h = CacheHierarchy.from_config(cfg)
-        addrs = [64 * n for n in range(32)]
-        assert batch_h.access_data_batch(addrs) == \
-            [ref_h.access_data(a) for a in addrs]
-        assert batch_h.stats() == ref_h.stats()
+        fast = fast_h.data_fastpath
+        for pc, first, stride, length, write, wrong_path in runs:
+            for k in range(length):
+                addr = first + k * stride
+                assert fast(addr, write, pc, wrong_path) == \
+                    ref_h.access_data(addr, write, pc, wrong_path)
+        assert fast_h.stats() == ref_h.stats()
+        assert fast_h.state_dict() == ref_h.state_dict()
 
 
 # ---------------------------------------------------------------------------

@@ -55,21 +55,20 @@ class TestRecording:
 class TestReplay:
     def test_replay_matches_live_stream(self, program, trace):
         from repro.functional.frontend import FunctionalFrontend
-        live = FunctionalFrontend(program)
+        live = FunctionalFrontend(program).produce_batch(len(trace) + 1)
         replay = TraceFrontend(trace)
-        for _ in range(len(trace)):
-            a = live.produce()
-            b = replay.produce()
-            assert (a.pc, a.next_pc, a.taken, a.mem_addr) == \
-                (b.pc, b.next_pc, b.taken, b.mem_addr)
-        assert replay.produce() is None
+        # Uneven batches: the cursor must carry across refills.
+        got = replay.produce_batch(7) + replay.produce_batch(len(trace))
+        assert [(a.seq, a.pc, a.next_pc, a.taken, a.mem_addr)
+                for a in live] == \
+            [(b.seq, b.pc, b.next_pc, b.taken, b.mem_addr) for b in got]
+        assert replay.produce_batch(1) == []
 
     def test_rewind(self, trace):
         frontend = TraceFrontend(trace)
-        first = frontend.produce()
-        frontend.produce()
+        first, _ = frontend.produce_batch(2)
         frontend.rewind()
-        again = frontend.produce()
+        again, = frontend.produce_batch(1)
         assert again.pc == first.pc and again.seq == 0
 
     def test_mismatched_program_detected(self, trace):
@@ -77,8 +76,7 @@ class TestReplay:
         bad = InstructionTrace(other, trace.records)
         frontend = TraceFrontend(bad)
         with pytest.raises(TraceError):
-            for _ in range(len(bad)):
-                frontend.produce()
+            frontend.produce_batch(len(bad))
 
 
 class TestSerialization:
