@@ -64,9 +64,12 @@ class CacheHierarchy:
         self.data_fastpath = self._build_data_fastpath()
 
     @classmethod
-    def from_config(cls, cfg) -> "CacheHierarchy":
+    def from_config(cls, cfg, shared_llc: Optional[Cache] = None,
+                    shared_memory: Optional[MainMemory] = None
+                    ) -> "CacheHierarchy":
         """Build from a :class:`repro.core.config.CoreConfig` (duck-typed to
-        avoid a package cycle)."""
+        avoid a package cycle); multicore passes the shared LLC and
+        memory."""
         return cls(
             line_size=cfg.line_size,
             l1i_size=cfg.l1i_size, l1i_assoc=cfg.l1i_assoc,
@@ -81,6 +84,7 @@ class CacheHierarchy:
             dtlb_entries=cfg.dtlb_entries, dtlb_penalty=cfg.dtlb_penalty,
             l2_prefetcher=cfg.l2_prefetcher,
             prefetch_degree=cfg.prefetch_degree,
+            shared_llc=shared_llc, shared_memory=shared_memory,
         )
 
     # -- access paths -------------------------------------------------------------

@@ -36,6 +36,7 @@ from repro.core.resources import SlotAllocator, WindowBuffer
 from repro.core.stats import CoreStats
 from repro.frontend.code_cache import CodeCache
 from repro.frontend.dyninstr import DynInstr
+from repro.functional.superblock import compile_when_warm
 from repro.isa.instructions import INSTRUCTION_SIZE
 
 
@@ -102,10 +103,14 @@ class OoOCore:
             cfg.frontend_depth, cfg.rob_size, cfg.load_queue,
             cfg.store_queue, cfg.store_latency, cfg.syscall_latency,
             cfg.forward_latency, cfg.taken_redirect_bubble)
-        # Timing superhandlers (repro.core.timingblock): compiled
+        # Timing and wrong-path stream superhandlers: compiled
         # per-block functions are pure (all mutable state passed per
-        # call), pooled process-wide under this fingerprint.
+        # call), pooled process-wide under these fingerprints.  Deferred
+        # import: the repro.wrongpath package imports this module.
+        from repro.wrongpath import streamblock
         self._timing_key = timingblock.cfg_fingerprint(
+            cfg, self.ports.hot, self._line_shift)
+        self._stream_key = streamblock.cfg_fingerprint(
             cfg, self.ports.hot, self._line_shift)
         #: Instructions retired through compiled timing blocks (CI's
         #: silent-fallback guard reads this alongside the frontend's).
@@ -117,30 +122,27 @@ class OoOCore:
     def _compile_timing(self, pc: int):
         """Resolve the timing superhandler for the block at ``pc``.
 
-        Gated on the shared warmup threshold (blocks executed once never
-        pay a render/compile) and cached in the code cache's pc map; the
+        Behind the shared warm gate (blocks executed once never pay a
+        render/compile) and cached in the code cache's pc map; the
         compiled function itself comes from the process-wide pure pool,
         so repeat cores for the same program and config skip compilation
         entirely.  Returns a falsy value while cold or when no cached
         run starts at ``pc`` (the caller's scalar path covers both).
         """
         cc = self.code_cache
-        warm = cc._timing_warm
-        seen = warm.get(pc, 0) + 1
-        if seen < timingblock.COMPILE_THRESHOLD:
-            warm[pc] = seen
-            return ()
-        instrs, stop = cc._block(pc)
+        return compile_when_warm(cc._timing_warm, cc._timing, pc,
+                                 self._build_timing)
+
+    def _build_timing(self, pc: int):
+        instrs, stop = self.code_cache._block(pc)
         if not instrs:
-            # Do not cache: the scalar path inserts this pc (flushing
-            # _timing anyway), and a miss block can grow on re-walk.
-            return ()
-        warm.pop(pc, None)
-        entry = timingblock.compile_timing(
+            # Neither cached nor warm-counted: the scalar path inserts
+            # this pc (flushing _timing anyway), and a miss block can
+            # grow on re-walk.
+            return None
+        return timingblock.compile_timing(
             instrs, self.cfg, self.ports.hot, self._line_shift,
             self._timing_key, stop)
-        cc._timing[pc] = entry
-        return entry
 
     def drain(self, queue, limit: Optional[int] = None) -> int:
         """Simulate instructions from ``queue`` until it runs dry or

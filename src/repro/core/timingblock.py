@@ -34,12 +34,19 @@ their control instruction, whose ``fetch_c``/``complete`` cycles are
 returned for the caller's window arithmetic.  The determinism goldens
 and the property suite pin the equivalence down.
 
+The wrong-path stream superhandlers (:mod:`repro.wrongpath.streamblock`)
+time their instructions with the same fetch and issue steps, so this
+module also owns what the two renderers share: the step table
+``STEP_TEMPLATES``, the emit helpers, the port-shape fingerprint and the
+pool-or-compile helper :func:`_pooled`.
+
 Auditability: sources are assembled from the module-level statement
-templates below (``TIMING_TEMPLATES``) with numeric substitutions only,
-and compiled through :func:`repro.functional.superblock._compile_block`
-— one of the two sanctioned ``exec`` sites, and simcheck SC003
-dummy-renders every template in ``TIMING_TEMPLATES`` and audits the
-parsed fragments against this module's whitelist profile.
+templates below (``STEP_TEMPLATES`` and ``TIMING_TEMPLATES``) with
+numeric substitutions only, and compiled through
+:func:`repro.functional.superblock._compile_block` — one of the two
+sanctioned ``exec`` sites, and simcheck SC003 dummy-renders every
+template in both tables and audits the parsed fragments against this
+module's whitelist profile.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from repro.frontend.code_cache import BLOCK_CONTROL
-from repro.functional.superblock import COMPILE_THRESHOLD, _compile_block
+from repro.functional.superblock import _compile_block
 
 #: Longest rendered block; longer straight-line runs are split (the
 #: remainder re-enters as a suffix block at its own start pc).
@@ -59,22 +66,25 @@ MAX_TIMING_BLOCK = 64
 _POOL: dict = {}
 
 
+def port_shape(hot) -> tuple:
+    """The static shape of a core's ``PortFile.hot``: each FU group's
+    port count, occupancy and latency.  The free lists themselves are
+    passed per call, so only their shape is part of an artifact."""
+    return tuple(sorted(
+        (fu, len(free), busy, single, latency)
+        for fu, (free, busy, single, latency) in hot.items()))
+
+
 def cfg_fingerprint(cfg, hot, line_shift: int) -> tuple:
     """Everything outside the instruction stream that rendering bakes in.
 
-    Two cores whose fingerprints match may share compiled blocks; the
-    port component covers each group's count/occupancy/latency (the
-    free lists themselves are passed per call, so only their *shape*
-    is part of the artifact).
+    Two cores whose fingerprints match may share compiled blocks.
     """
-    ports = tuple(sorted(
-        (fu, len(free), busy, single, latency)
-        for fu, (free, busy, single, latency) in hot.items()))
     return (cfg.fetch_width, cfg.dispatch_width, cfg.commit_width,
             cfg.frontend_depth, cfg.rob_size, cfg.load_queue,
             cfg.store_queue, cfg.l1i_latency, cfg.store_latency,
             cfg.syscall_latency, cfg.forward_latency,
-            cfg.taken_redirect_bubble, line_shift, ports)
+            cfg.taken_redirect_bubble, line_shift, port_shape(hot))
 
 
 def _content_key(instrs) -> tuple:
@@ -86,27 +96,24 @@ def _content_key(instrs) -> tuple:
 
 # -- statement templates -------------------------------------------------------
 #
-# One entry per pipeline step; ``{...}`` fields take integers (or the
-# ``buf[i + k]`` index) only.  simcheck SC003 renders each with dummy
-# values and whitelists the resulting AST, so any new statement shape
-# must be added both here and to the audit's allow-lists.
+# One entry per pipeline step; ``{...}`` fields take integers, the
+# ``wrong_path`` flag or the ``buf[i + k]`` index only.  simcheck SC003
+# renders each with dummy values and whitelists the resulting AST, so
+# any new statement shape must be added both here and to the audit's
+# allow-lists.
 
-TIMING_TEMPLATES = {
-    "head": ("def run(buf, i, regready, fetch_cycle, fetch_used,"
-             " disp_cycle, disp_used,\n"
-             "        com_cycle, com_used, cur_line, last_retire,\n"
-             "        rob_rel, rob_popleft, rob_append, lq_rel,"
-             " lq_popleft, lq_append,\n"
-             "        sq_rel, sq_popleft, sq_append, sb_get,"
-             " store_buffer,\n"
-             "        access_data, l1i_access, port_hot):"),
+#: Steps both block renderers emit: fetch (the stream renderer passes
+#: ``wrong_path=True`` to the I-cache probe), port binding, the four
+#: issue variants and the fixed-latency execute.
+STEP_TEMPLATES = {
+    "bind_port": "free_{fu} = port_hot[\"{fu}\"][0]",
     "fetch_entry": ("if {line} != cur_line:\n"
-                    "    penalty = l1i_access({pc}, False, False)"
+                    "    penalty = l1i_access({pc}, False, {wrong_path})"
                     " - {l1i_latency}\n"
                     "    if penalty > 0:\n"
                     "        fetch_cycle += penalty\n"
                     "        fetch_used = 0"),
-    "fetch_cross": ("penalty = l1i_access({pc}, False, False)"
+    "fetch_cross": ("penalty = l1i_access({pc}, False, {wrong_path})"
                     " - {l1i_latency}\n"
                     "if penalty > 0:\n"
                     "    fetch_cycle += penalty\n"
@@ -116,31 +123,6 @@ TIMING_TEMPLATES = {
                    "if fetch_used >= {fetch_width}:\n"
                    "    fetch_cycle = fetch_c + 1\n"
                    "    fetch_used = 0"),
-    "dispatch_rob": ("dispatch_req = fetch_c + {frontend_depth}\n"
-                     "if len(rob_rel) >= {rob_size}:\n"
-                     "    oldest = rob_popleft()\n"
-                     "    if oldest > dispatch_req:\n"
-                     "        dispatch_req = oldest"),
-    "dispatch_lq": ("if len(lq_rel) >= {load_queue}:\n"
-                    "    oldest = lq_popleft()\n"
-                    "    if oldest > dispatch_req:\n"
-                    "        dispatch_req = oldest"),
-    "dispatch_sq": ("if len(sq_rel) >= {store_queue}:\n"
-                    "    oldest = sq_popleft()\n"
-                    "    if oldest > dispatch_req:\n"
-                    "        dispatch_req = oldest"),
-    "dispatch_slot": ("if dispatch_req > disp_cycle:\n"
-                      "    disp_cycle = dispatch_req\n"
-                      "    disp_used = 0\n"
-                      "dispatch_c = disp_cycle\n"
-                      "disp_used += 1\n"
-                      "if disp_used >= {dispatch_width}:\n"
-                      "    disp_cycle = dispatch_c + 1\n"
-                      "    disp_used = 0"),
-    "ready": "ready = dispatch_c + 1",
-    "ready_reg": ("t = regready[{reg}]\n"
-                  "if t > ready:\n"
-                  "    ready = t"),
     "issue_single": ("best_cycle = free_{fu}[0]\n"
                      "issue_c = ready if ready >= best_cycle"
                      " else best_cycle\n"
@@ -170,6 +152,45 @@ TIMING_TEMPLATES = {
                     " else best_cycle\n"
                     "free_{fu}[free_{fu}.index(best_cycle)]"
                     " = issue_c + {busy}"),
+    "exec_plain": "complete = issue_c + {latency}",
+}
+
+#: Steps only the correct-path timing renderer emits: dispatch, the
+#: store-forwarding load, register writes and retirement.
+TIMING_TEMPLATES = {
+    "head": ("def run(buf, i, regready, fetch_cycle, fetch_used,"
+             " disp_cycle, disp_used,\n"
+             "        com_cycle, com_used, cur_line, last_retire,\n"
+             "        rob_rel, rob_popleft, rob_append, lq_rel,"
+             " lq_popleft, lq_append,\n"
+             "        sq_rel, sq_popleft, sq_append, sb_get,"
+             " store_buffer,\n"
+             "        access_data, l1i_access, port_hot):"),
+    "dispatch_rob": ("dispatch_req = fetch_c + {frontend_depth}\n"
+                     "if len(rob_rel) >= {rob_size}:\n"
+                     "    oldest = rob_popleft()\n"
+                     "    if oldest > dispatch_req:\n"
+                     "        dispatch_req = oldest"),
+    "dispatch_lq": ("if len(lq_rel) >= {load_queue}:\n"
+                    "    oldest = lq_popleft()\n"
+                    "    if oldest > dispatch_req:\n"
+                    "        dispatch_req = oldest"),
+    "dispatch_sq": ("if len(sq_rel) >= {store_queue}:\n"
+                    "    oldest = sq_popleft()\n"
+                    "    if oldest > dispatch_req:\n"
+                    "        dispatch_req = oldest"),
+    "dispatch_slot": ("if dispatch_req > disp_cycle:\n"
+                      "    disp_cycle = dispatch_req\n"
+                      "    disp_used = 0\n"
+                      "dispatch_c = disp_cycle\n"
+                      "disp_used += 1\n"
+                      "if disp_used >= {dispatch_width}:\n"
+                      "    disp_cycle = dispatch_c + 1\n"
+                      "    disp_used = 0"),
+    "ready": "ready = dispatch_c + 1",
+    "ready_reg": ("t = regready[{reg}]\n"
+                  "if t > ready:\n"
+                  "    ready = t"),
     "exec_load": ("addr = buf[i + {k}].mem_addr\n"
                   "drain = sb_get(addr & -4)\n"
                   "if drain is not None and drain > issue_c:\n"
@@ -177,7 +198,6 @@ TIMING_TEMPLATES = {
                   "    complete = issue_c + {forward_latency}\n"
                   "else:\n"
                   "    complete = issue_c + access_data(addr, False, {pc})"),
-    "exec_plain": "complete = issue_c + {latency}",
     "write_reg": "regready[{reg}] = complete",
     "retire": ("retire_req = complete + 1\n"
                "if retire_req < last_retire:\n"
@@ -197,7 +217,6 @@ TIMING_TEMPLATES = {
                      "addr = buf[i + {k}].mem_addr\n"
                      "access_data(addr, True, {pc})\n"
                      "store_buffer[addr & -4] = retire_c + 1"),
-    "bind_port": "free_{fu} = port_hot[\"{fu}\"][0]",
     "init_fwd": "n_fwd = 0",
     "tail": ("cur_line = {line}\n"
              "return (fetch_cycle, fetch_used, disp_cycle, disp_used,\n"
@@ -207,9 +226,59 @@ TIMING_TEMPLATES = {
 }
 
 
+# -- rendering helpers shared with repro.wrongpath.streamblock -----------------
+
 def _emit(out, template: str, sub: dict) -> None:
     for line in template.format(**sub).split("\n"):
         out.append("    " + line)
+
+
+def _emit_ports(out, instrs) -> None:
+    """Bind each used FU group's free list once per call."""
+    for fu in sorted({ins.fu for ins in instrs}):
+        _emit(out, STEP_TEMPLATES["bind_port"], {"fu": fu})
+
+
+def _emit_fetch(out, sub: dict, prev_line) -> None:
+    """Fetch one instruction: an I-cache probe at the block entry
+    (runtime line check) or at a static line crossing, then a slot."""
+    if prev_line is None:
+        _emit(out, STEP_TEMPLATES["fetch_entry"], sub)
+    elif sub["line"] != prev_line:
+        _emit(out, STEP_TEMPLATES["fetch_cross"], sub)
+    _emit(out, STEP_TEMPLATES["fetch_slot"], sub)
+
+
+def _emit_issue(out, sub: dict, hot) -> int:
+    """Issue on ``sub["fu"]``'s ports with the scan specialized to the
+    group's port count (sets ``sub["busy"]``); returns the FU latency."""
+    free, busy, single, latency = hot[sub["fu"]]
+    sub["busy"] = busy
+    if single:
+        issue = "issue_single"
+    elif len(free) == 2:
+        issue = "issue_two"
+    elif len(free) == 3:
+        issue = "issue_three"
+    else:
+        issue = "issue_multi"
+    _emit(out, STEP_TEMPLATES[issue], sub)
+    return latency
+
+
+def _pooled(pool: dict, render, instrs, cfg, hot, line_shift: int,
+            fingerprint, label: str):
+    """The compiled ``run`` for ``instrs`` from ``pool``; rendered with
+    ``render(instrs, cfg, hot, line_shift)`` and compiled on a miss."""
+    key = (fingerprint, _content_key(instrs))
+    run = pool.get(key)
+    if run is None:
+        run = _compile_block(
+            render(instrs, cfg, hot, line_shift), instrs,
+            "<%s:%#x>" % (label, instrs[0].pc),
+            {"__builtins__": {"len": len, "min": min}})
+        pool[key] = run
+    return run
 
 
 def render_timing(instrs, cfg, hot, line_shift: int) -> str:
@@ -229,25 +298,21 @@ def render_timing(instrs, cfg, hot, line_shift: int) -> str:
         "store_queue": cfg.store_queue,
         "l1i_latency": cfg.l1i_latency,
         "forward_latency": cfg.forward_latency,
+        "wrong_path": False,
     }
     t = TIMING_TEMPLATES
+    exec_plain = STEP_TEMPLATES["exec_plain"]
     out = [t["head"]]
+    _emit_ports(out, instrs)
     has_load = any(ins.is_load for ins in instrs)
-    for fu in sorted({ins.fu for ins in instrs}):
-        _emit(out, t["bind_port"], {"fu": fu})
     if has_load:
         _emit(out, t["init_fwd"], {})
     prev_line = None
     for k, ins in enumerate(instrs):
-        pc = ins.pc
-        line = pc >> line_shift
-        sub = dict(base, pc=pc, line=line, k=k, fu=ins.fu)
-        if prev_line is None:
-            _emit(out, t["fetch_entry"], sub)
-        elif line != prev_line:
-            _emit(out, t["fetch_cross"], sub)
+        line = ins.pc >> line_shift
+        sub = dict(base, pc=ins.pc, line=line, k=k, fu=ins.fu)
+        _emit_fetch(out, sub, prev_line)
         prev_line = line
-        _emit(out, t["fetch_slot"], sub)
         _emit(out, t["dispatch_rob"], sub)
         if ins.is_load:
             _emit(out, t["dispatch_lq"], sub)
@@ -257,27 +322,15 @@ def render_timing(instrs, cfg, hot, line_shift: int) -> str:
         _emit(out, t["ready"], sub)
         for reg in ins.reads:
             _emit(out, t["ready_reg"], dict(sub, reg=reg))
-        free, busy, single, fu_latency = hot[ins.fu]
-        sub["busy"] = busy
-        if single:
-            issue = "issue_single"
-        elif len(free) == 2:
-            issue = "issue_two"
-        elif len(free) == 3:
-            issue = "issue_three"
-        else:
-            issue = "issue_multi"
-        _emit(out, t[issue], sub)
+        fu_latency = _emit_issue(out, sub, hot)
         if ins.is_load:
             _emit(out, t["exec_load"], sub)
         elif ins.is_store:
-            _emit(out, t["exec_plain"],
-                  dict(sub, latency=cfg.store_latency))
+            _emit(out, exec_plain, dict(sub, latency=cfg.store_latency))
         elif ins.is_syscall:
-            _emit(out, t["exec_plain"],
-                  dict(sub, latency=cfg.syscall_latency))
+            _emit(out, exec_plain, dict(sub, latency=cfg.syscall_latency))
         else:
-            _emit(out, t["exec_plain"], dict(sub, latency=fu_latency))
+            _emit(out, exec_plain, dict(sub, latency=fu_latency))
         for reg in ins.writes:
             _emit(out, t["write_reg"], dict(sub, reg=reg))
         _emit(out, t["retire"], sub)
@@ -305,14 +358,8 @@ def compile_timing(instrs, cfg, hot, line_shift: int, fingerprint,
     if len(instrs) > MAX_TIMING_BLOCK:
         instrs = instrs[:MAX_TIMING_BLOCK]
         ctl = False
-    key = (fingerprint, _content_key(instrs))
-    run = _POOL.get(key)
-    if run is None:
-        source = render_timing(instrs, cfg, hot, line_shift)
-        run = _compile_block(
-            source, instrs, "<timingblock:%#x>" % instrs[0].pc,
-            {"__builtins__": {"len": len, "min": min}})
-        _POOL[key] = run
+    run = _pooled(_POOL, render_timing, instrs, cfg, hot, line_shift,
+                  fingerprint, "timingblock")
     return (run, len(instrs), ctl,
             sum(1 for ins in instrs if ins.is_load),
             sum(1 for ins in instrs if ins.is_store),

@@ -158,18 +158,6 @@ class CodeCache:
             self._blocks[start_pc] = blk
         return blk
 
-    def block_digest(self, start_pc: int) -> Optional[tuple]:
-        """Content digest of the memoized block at ``start_pc`` (stop
-        reason + the (pc, op) pairs it covers), or None when the block
-        has not been memoized.  Hashable, deterministic, and a pure
-        function of cache contents — the key under which compiled
-        artifacts survive invalidation."""
-        blk = self._blocks.get(start_pc)
-        if blk is None:
-            return None
-        instrs, stop = blk
-        return (stop, tuple((ins.pc, ins.op) for ins in instrs))
-
     def block_compiled(self, start_pc: int, compiler) -> Tuple:
         """:meth:`block` plus a compiled artifact attached to the memo.
 

@@ -489,8 +489,33 @@ UNCOMPILABLE: tuple = ()
 #: three times — so compiling on the second execution skips most cold
 #: ``compile()`` cost at a sub-percent loss of compiled coverage.
 #: Scalar and compiled execution are observationally identical, so the
-#: threshold never affects simulation results, only warmup cost.
+#: threshold never affects simulation results, only warmup cost.  Every
+#: compiled block layer reads this one binding through
+#: :func:`compile_when_warm`.
 COMPILE_THRESHOLD = 2
+
+
+def compile_when_warm(warm: dict, compiled: dict, pc: int, build):
+    """The warm gate shared by every compiled block layer.
+
+    Counts one cold visit of ``pc`` in ``warm`` and returns
+    :data:`UNCOMPILABLE` (nothing cached, so the caller's scalar path
+    runs and the next visit lands here again) until ``pc`` has been
+    visited :data:`COMPILE_THRESHOLD` times.  Then ``build(pc)`` makes
+    the entry, which is cached in ``compiled`` and ends the warm count
+    — unless ``build`` returns None: nothing can be compiled at ``pc``
+    yet, so nothing is cached and the warm count stays as it was.
+    """
+    seen = warm.get(pc, 0) + 1
+    if seen < COMPILE_THRESHOLD:
+        warm[pc] = seen
+        return UNCOMPILABLE
+    entry = build(pc)
+    if entry is None:
+        return UNCOMPILABLE
+    warm.pop(pc, None)
+    compiled[pc] = entry
+    return entry
 
 
 class SuperblockCache:
@@ -545,51 +570,36 @@ class SuperblockCache:
         self.compiled_blocks = 0
 
     def compile_correct(self, pc: int):
-        warm = self._warm_correct
-        seen = warm.get(pc, 0) + 1
-        if seen < COMPILE_THRESHOLD:
-            # Still cold: the caller runs this instruction through the
-            # scalar path; nothing is cached so the next execution of
-            # this entry pc lands here again and trips the threshold.
-            warm[pc] = seen
-            return UNCOMPILABLE
-        warm.pop(pc, None)
-        instrs, terminated = discover(self._pc_index, pc)
-        if instrs:
-            run = _compile_block(
-                render_correct(instrs), instrs,
-                "<superblock:%#x>" % pc,
-                {"_DI": DynInstr, "_new": DynInstr.__new__})
-            entry = (run, len(instrs), terminated)
-            self.compiled_blocks += 1
-        else:
-            entry = UNCOMPILABLE
-        self._correct[pc] = entry
-        return entry
+        return compile_when_warm(self._warm_correct, self._correct, pc,
+                                 self._build_correct)
 
     def compile_wrongpath(self, pc: int):
-        warm = self._warm_wrong
-        seen = warm.get(pc, 0) + 1
-        if seen < COMPILE_THRESHOLD:
-            warm[pc] = seen
+        return compile_when_warm(self._warm_wrong, self._wrong, pc,
+                                 self._build_wrongpath)
+
+    def _build_correct(self, pc: int):
+        instrs, terminated = discover(self._pc_index, pc)
+        if not instrs:
             return UNCOMPILABLE
-        warm.pop(pc, None)
+        run = _compile_block(render_correct(instrs), instrs,
+                             "<superblock:%#x>" % pc,
+                             {"_DI": DynInstr, "_new": DynInstr.__new__})
+        self.compiled_blocks += 1
+        return (run, len(instrs), terminated)
+
+    def _build_wrongpath(self, pc: int):
         # Deferred import mirror of _base_ns: the emulator module owns
         # the record class.
         from repro.functional.emulator import WrongPathRecord
         instrs, _terminated = discover(self._pc_index, pc)
-        if instrs:
-            run = _compile_block(
-                render_wrongpath(instrs), instrs,
-                "<superblock-wp:%#x>" % pc,
-                {"_WR": WrongPathRecord,
-                 "_new": WrongPathRecord.__new__})
-            entry = (run, len(instrs))
-            self.compiled_blocks += 1
-        else:
-            entry = UNCOMPILABLE
-        self._wrong[pc] = entry
-        return entry
+        if not instrs:
+            return UNCOMPILABLE
+        run = _compile_block(render_wrongpath(instrs), instrs,
+                             "<superblock-wp:%#x>" % pc,
+                             {"_WR": WrongPathRecord,
+                              "_new": WrongPathRecord.__new__})
+        self.compiled_blocks += 1
+        return (run, len(instrs))
 
 
 SuperblockCache._SHARED = weakref.WeakKeyDictionary()

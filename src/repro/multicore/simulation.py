@@ -35,10 +35,8 @@ from repro.cache.hierarchy import CacheHierarchy
 from repro.core.config import CoreConfig
 from repro.core.ooo import OoOCore
 from repro.frontend.queue import RunaheadQueue, runahead_depth
-from repro.functional.frontend import FunctionalFrontend
-from repro.functional.memory import Memory
 from repro.isa.program import Program
-from repro.simulator.simulation import TECHNIQUES, WrongPathEmulation
+from repro.simulator.simulation import TECHNIQUES, build_frontend
 
 
 class CoreContext:
@@ -48,26 +46,11 @@ class CoreContext:
                  technique: str, shared_llc: Cache,
                  shared_memory: MainMemory):
         self.index = index
-        emulate_wp = technique == WrongPathEmulation.name
-        self.frontend = FunctionalFrontend(
-            program, Memory(), emulate_wrong_path=emulate_wp,
-            predictor=BranchPredictorUnit.from_config(cfg)
-            if emulate_wp else None,
-            wp_limit=cfg.rob_size + cfg.wp_frontend_buffer)
+        self.frontend = build_frontend(program, cfg, technique)
         self.queue = RunaheadQueue(self.frontend.produce_batch,
                                    depth=runahead_depth(cfg))
-        self.hierarchy = CacheHierarchy(
-            line_size=cfg.line_size,
-            l1i_size=cfg.l1i_size, l1i_assoc=cfg.l1i_assoc,
-            l1i_latency=cfg.l1i_latency,
-            l1d_size=cfg.l1d_size, l1d_assoc=cfg.l1d_assoc,
-            l1d_latency=cfg.l1d_latency,
-            l2_size=cfg.l2_size, l2_assoc=cfg.l2_assoc,
-            l2_latency=cfg.l2_latency,
-            dtlb_entries=cfg.dtlb_entries, dtlb_penalty=cfg.dtlb_penalty,
-            l2_prefetcher=cfg.l2_prefetcher,
-            prefetch_degree=cfg.prefetch_degree,
-            shared_llc=shared_llc, shared_memory=shared_memory)
+        self.hierarchy = CacheHierarchy.from_config(cfg, shared_llc,
+                                                    shared_memory)
         self.core = OoOCore(cfg, self.hierarchy,
                             BranchPredictorUnit.from_config(cfg),
                             TECHNIQUES[technique](), queue=self.queue)

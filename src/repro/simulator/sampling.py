@@ -66,7 +66,7 @@ from repro.frontend.queue import RunaheadQueue, runahead_depth
 from repro.functional.frontend import FunctionalFrontend
 from repro.functional.memory import Memory
 from repro.isa.program import Program
-from repro.simulator.simulation import TECHNIQUES, WrongPathEmulation
+from repro.simulator.simulation import TECHNIQUES, build_frontend
 from repro.simulator.snapshot import SimSnapshot
 
 #: Instructions produced per direct ``produce_batch`` call while warming
@@ -173,19 +173,27 @@ class SampledResult:
                 f"mode={self.mode}>")
 
 
-def _warm(core: OoOCore, di) -> None:
-    """Functionally warm caches/TLB/predictor with one instruction."""
-    instr = di.instr
-    core.code_cache.insert(instr)
-    hierarchy = core.hierarchy
-    line = di.pc >> core._line_shift
-    if line != core._cur_fetch_line:
-        core._cur_fetch_line = line
-        hierarchy.access_instr(di.pc)
-    if instr.is_mem:
-        hierarchy.data_fastpath(di.mem_addr, instr.is_store, di.pc)
-    if instr.is_control:
-        core.bpu.predict_and_update(instr, di.taken, di.next_pc)
+def _warm(batch, cur_line: int, line_shift: int, hierarchy, bpu,
+          code_cache) -> int:
+    """Functionally warm the code cache, caches/TLB and branch predictor
+    with ``batch`` (no timing model).  ``cur_line`` is the I-cache line
+    fetched last before the batch; returns the last one after it."""
+    insert = code_cache.insert
+    access_instr = hierarchy.access_instr
+    access_data = hierarchy.data_fastpath
+    predict = bpu.predict_and_update
+    for di in batch:
+        instr = di.instr
+        insert(instr)
+        line = di.pc >> line_shift
+        if line != cur_line:
+            cur_line = line
+            access_instr(di.pc)
+        if instr.is_mem:
+            access_data(di.mem_addr, instr.is_store, di.pc)
+        if instr.is_control:
+            predict(instr, di.taken, di.next_pc)
+    return cur_line
 
 
 # -- streaming mode ------------------------------------------------------------
@@ -220,18 +228,18 @@ def simulate_sampled(program: Program, technique: str = "nowp",
     cfg = config if config is not None else CoreConfig()
     start = time.perf_counter()
 
-    emulate_wp = technique == WrongPathEmulation.name
-    frontend = FunctionalFrontend(
-        program, Memory(), emulate_wrong_path=emulate_wp,
-        predictor=BranchPredictorUnit.from_config(cfg)
-        if emulate_wp else None,
-        wp_limit=cfg.rob_size + cfg.wp_frontend_buffer)
+    frontend = build_frontend(program, cfg, technique)
     queue = RunaheadQueue(frontend.produce_batch, depth=runahead_depth(cfg))
     core = OoOCore(cfg, CacheHierarchy.from_config(cfg),
                    BranchPredictorUnit.from_config(cfg),
                    TECHNIQUES[technique](), queue=queue)
 
-    gated = gate_warm_wp and emulate_wp
+    def warm(batch) -> None:
+        core._cur_fetch_line = _warm(batch, core._cur_fetch_line,
+                                     core._line_shift, core.hierarchy,
+                                     core.bpu, core.code_cache)
+
+    gated = gate_warm_wp and frontend.emulate_wrong_path
     detailed = 0
     warmed = 0
     intervals = 0
@@ -249,10 +257,8 @@ def simulate_sampled(program: Program, technique: str = "nowp",
         # are simply discarded by _warm).
         buf = queue._buf
         head = queue._head
-        leftover = len(buf) - head
-        take = min(leftover, budget)
-        for i in range(head, head + take):
-            _warm(core, buf[i])
+        take = min(len(buf) - head, budget)
+        warm(buf[head:head + take])
         queue._head = head + take
         budget -= take
         warmed += take
@@ -267,8 +273,7 @@ def simulate_sampled(program: Program, technique: str = "nowp",
             while budget > 0:
                 want = min(_WARM_CHUNK, budget)
                 batch = frontend.produce_batch(want)
-                for di in batch:
-                    _warm(core, di)
+                warm(batch)
                 got = len(batch)
                 budget -= got
                 warmed += got
@@ -345,11 +350,6 @@ def functional_pass(program: Program, config: Optional[CoreConfig] = None,
     line_shift = cfg.line_size.bit_length() - 1
     cur_line = -1
 
-    access_instr = hierarchy.access_instr
-    access_data = hierarchy.data_fastpath
-    predict = bpu.predict_and_update
-    insert = code_cache.insert
-
     def consume(count: int) -> int:
         """Warm up to ``count`` instructions; returns how many ran."""
         nonlocal cur_line
@@ -357,17 +357,8 @@ def functional_pass(program: Program, config: Optional[CoreConfig] = None,
         while done < count:
             want = min(_WARM_CHUNK, count - done)
             batch = frontend.produce_batch(want)
-            for di in batch:
-                instr = di.instr
-                insert(instr)
-                line = di.pc >> line_shift
-                if line != cur_line:
-                    cur_line = line
-                    access_instr(di.pc)
-                if instr.is_mem:
-                    access_data(di.mem_addr, instr.is_store, pc=di.pc)
-                if instr.is_control:
-                    predict(instr, di.taken, di.next_pc)
+            cur_line = _warm(batch, cur_line, line_shift, hierarchy, bpu,
+                             code_cache)
             done += len(batch)
             if len(batch) < want:
                 break
@@ -469,12 +460,7 @@ def _run_interval(program: Program, cfg: CoreConfig, technique: str,
     """Restore ``snapshot`` into fresh components and run ``length``
     instructions of detailed simulation."""
     start = time.perf_counter()
-    emulate_wp = technique == WrongPathEmulation.name
-    frontend = FunctionalFrontend(
-        program, Memory(), emulate_wrong_path=emulate_wp,
-        predictor=BranchPredictorUnit.from_config(cfg)
-        if emulate_wp else None,
-        wp_limit=cfg.rob_size + cfg.wp_frontend_buffer)
+    frontend = build_frontend(program, cfg, technique)
     queue = RunaheadQueue(frontend.produce_batch, depth=runahead_depth(cfg))
     hierarchy = CacheHierarchy.from_config(cfg)
     timing_bpu = BranchPredictorUnit.from_config(cfg)

@@ -49,6 +49,22 @@ TECHNIQUES: Dict[str, Type[WrongPathModel]] = {
 ALL_TECHNIQUES = ("nowp", "instrec", "conv", "wpemul")
 
 
+def build_frontend(program: Program, cfg: CoreConfig,
+                   technique: str) -> FunctionalFrontend:
+    """The functional frontend for one run of ``technique``.
+
+    Under wpemul it emulates each mispredict's wrong path, steered by
+    its own copy of the branch predictor.  Every technique gets the
+    same wrong-path budget: the ROB plus the frontend buffer.
+    """
+    emulate_wp = technique == WrongPathEmulation.name
+    return FunctionalFrontend(
+        program, Memory(), emulate_wrong_path=emulate_wp,
+        predictor=BranchPredictorUnit.from_config(cfg)
+        if emulate_wp else None,
+        wp_limit=cfg.rob_size + cfg.wp_frontend_buffer)
+
+
 class SimulationResult:
     """Outcome of one simulation run.
 
@@ -211,13 +227,7 @@ class Simulator:
 
         timing_bpu = BranchPredictorUnit.from_config(cfg)
         wp_model = TECHNIQUES[self.technique]()
-        emulate_wp = self.technique == WrongPathEmulation.name
-        frontend = FunctionalFrontend(
-            self.program, Memory(),
-            emulate_wrong_path=emulate_wp,
-            predictor=BranchPredictorUnit.from_config(cfg)
-            if emulate_wp else None,
-            wp_limit=cfg.rob_size + cfg.wp_frontend_buffer)
+        frontend = build_frontend(self.program, cfg, self.technique)
         queue = RunaheadQueue(frontend.produce_batch, depth=self.queue_depth)
         hierarchy = CacheHierarchy.from_config(cfg)
         core = OoOCore(cfg, hierarchy, timing_bpu, wp_model, queue=queue)

@@ -37,8 +37,8 @@ from typing import Iterable, List, Optional
 from repro.core.ooo import OoOCore, WrongPathWindow
 from repro.frontend.code_cache import (BLOCK_CONTROL, BLOCK_MISS,
                                        BLOCK_SYSCALL)
-from repro.functional.superblock import (COMPILE_THRESHOLD,
-                                         compile_items_builder)
+from repro.functional.superblock import (compile_items_builder,
+                                         compile_when_warm)
 from repro.isa.instructions import Instruction
 from repro.wrongpath import streamblock
 
@@ -147,32 +147,23 @@ def reconstruct_from_code_cache(core: OoOCore, start_pc: int,
 def _compile_stream_block(core: OoOCore, pc: int) -> tuple:
     """Compiled wrong-path stream entry for the block at ``pc``.
 
-    Warm-gated like the other superhandler layers: blocks that have
-    streamed fewer than :data:`COMPILE_THRESHOLD` times return the
-    empty (falsy) entry without caching, so one-shot code never pays a
-    render.  Empty blocks (pc not cached) *are* cached as empty — the
-    next insert flushes ``_wpstream`` and lets them grow.
+    Behind the shared warm gate, like the other superhandler layers:
+    one-shot code never pays a render.  A block the stream templates
+    do not cover (pc not cached, or a load with no destination) is
+    cached as the empty entry, so the scalar executor times it; the
+    next insert flushes ``_wpstream`` and lets an empty block grow.
     """
     cc = core.code_cache
-    warm = cc._wpstream_warm
-    seen = warm.get(pc, 0) + 1
-    if seen < COMPILE_THRESHOLD:
-        warm[pc] = seen
-        return ()
-    warm.pop(pc, None)
-    key = getattr(core, "_stream_key", None)
-    if key is None:
-        key = streamblock.cfg_fingerprint(core.cfg, core.ports.hot,
-                                          core._line_shift)
-        core._stream_key = key
-    instrs, _stop = cc._block(pc)
-    entry = streamblock.compile_stream(instrs, core.cfg,
-                                       core.ports.hot,
-                                       core._line_shift, key)
-    if entry is None:
-        entry = ()
-    cc._wpstream[pc] = entry
-    return entry
+
+    def build(pc):
+        instrs, _stop = cc._block(pc)
+        entry = streamblock.compile_stream(instrs, core.cfg,
+                                           core.ports.hot,
+                                           core._line_shift,
+                                           core._stream_key)
+        return () if entry is None else entry
+
+    return compile_when_warm(cc._wpstream_warm, cc._wpstream, pc, build)
 
 
 # simcheck: hotpath

@@ -43,21 +43,24 @@ has at least ``length`` items left and (b) ``items[i].pc`` equals the
 block's start pc — which, by the fall-through property above, pins
 every covered item to its rendered instruction.
 
-Auditability: sources are assembled from the module-level statement
-templates below (``STREAM_TEMPLATES``) with numeric substitutions
-only, and compiled through
+Auditability: sources are assembled with numeric substitutions only,
+from the fetch, issue and execute steps of
+``repro.core.timingblock.STEP_TEMPLATES`` (passed ``wrong_path=True``)
+plus this module's own ``STREAM_TEMPLATES``, and compiled through
 :func:`repro.functional.superblock._compile_block` — one of the two
-sanctioned ``exec`` sites, and simcheck SC003 dummy-renders every
+sanctioned ``exec`` sites.  simcheck SC003 dummy-renders every
 template in ``STREAM_TEMPLATES`` and audits the parsed fragments
-against this module's whitelist profile.
+against this module's whitelist profile; the shared steps are audited
+once, with ``timingblock``'s tables.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.functional.superblock import _compile_block
-from repro.core.timingblock import MAX_TIMING_BLOCK, _content_key
+from repro.core.timingblock import (MAX_TIMING_BLOCK, STEP_TEMPLATES,
+                                    _emit, _emit_fetch, _emit_issue,
+                                    _emit_ports, _pooled, port_shape)
 
 #: Pure-function artifact pool: (cfg fingerprint, block content) ->
 #: compiled ``run``.  Never invalidated — entries are content-addressed
@@ -67,19 +70,18 @@ _POOL: dict = {}
 
 def cfg_fingerprint(cfg, hot, line_shift: int) -> tuple:
     """Everything outside the instruction stream that rendering bakes in."""
-    ports = tuple(sorted(
-        (fu, len(free), busy, single, latency)
-        for fu, (free, busy, single, latency) in hot.items()))
     return (cfg.fetch_width, cfg.frontend_depth, cfg.l1i_latency,
             cfg.l1d_latency, cfg.store_latency, cfg.mshr_entries,
-            line_shift, ports)
+            line_shift, port_shape(hot))
 
 
 # -- statement templates -------------------------------------------------------
 #
-# One entry per executor step; ``{...}`` fields take integers (or the
-# ``items[i + k]`` index) only.  simcheck SC003 renders each with dummy
-# values and whitelists the resulting AST.
+# One entry per executor step the timing superhandlers do not share
+# (fetch, port binding, issue and the fixed-latency execute come from
+# ``repro.core.timingblock.STEP_TEMPLATES``); ``{...}`` fields take
+# integers (or the ``items[i + k]`` index) only.  simcheck SC003 renders
+# each with dummy values and whitelists the resulting AST.
 
 STREAM_TEMPLATES = {
     "head": ("def run(items, i, wp_ready, regready, mshrs, port_hot,\n"
@@ -89,23 +91,6 @@ STREAM_TEMPLATES = {
     "prologue": ("wp_get = wp_ready.get\n"
                  "wa = 0\n"
                  "rec = 0"),
-    "bind_port": "free_{fu} = port_hot[\"{fu}\"][0]",
-    "fetch_entry": ("if {line} != cur_line:\n"
-                    "    penalty = l1i_access({pc}, False, True)"
-                    " - {l1i_latency}\n"
-                    "    if penalty > 0:\n"
-                    "        fetch_cycle += penalty\n"
-                    "        fetch_used = 0"),
-    "fetch_cross": ("penalty = l1i_access({pc}, False, True)"
-                    " - {l1i_latency}\n"
-                    "if penalty > 0:\n"
-                    "    fetch_cycle += penalty\n"
-                    "    fetch_used = 0"),
-    "fetch_slot": ("fetch_c = fetch_cycle\n"
-                   "fetch_used += 1\n"
-                   "if fetch_used >= {fetch_width}:\n"
-                   "    fetch_cycle = fetch_c + 1\n"
-                   "    fetch_used = 0"),
     "squash_exit": ("if fetch_c >= resolution:\n"
                     "    return ({k}, fetch_cycle, fetch_used, {line},"
                     " executed, {loads}, {stores}, wa, rec)"),
@@ -115,35 +100,6 @@ STREAM_TEMPLATES = {
                   "    t = regready[{reg}]\n"
                   "if t > ready:\n"
                   "    ready = t"),
-    "issue_single": ("best_cycle = free_{fu}[0]\n"
-                     "issue_c = ready if ready >= best_cycle"
-                     " else best_cycle\n"
-                     "free_{fu}[0] = issue_c + {busy}"),
-    "issue_two": ("a = free_{fu}[0]\n"
-                  "if a <= free_{fu}[1]:\n"
-                  "    issue_c = ready if ready >= a else a\n"
-                  "    free_{fu}[0] = issue_c + {busy}\n"
-                  "else:\n"
-                  "    a = free_{fu}[1]\n"
-                  "    issue_c = ready if ready >= a else a\n"
-                  "    free_{fu}[1] = issue_c + {busy}"),
-    "issue_three": ("a = free_{fu}[0]\n"
-                    "b = free_{fu}[1]\n"
-                    "c = free_{fu}[2]\n"
-                    "if a <= b and a <= c:\n"
-                    "    issue_c = ready if ready >= a else a\n"
-                    "    free_{fu}[0] = issue_c + {busy}\n"
-                    "elif b <= c:\n"
-                    "    issue_c = ready if ready >= b else b\n"
-                    "    free_{fu}[1] = issue_c + {busy}\n"
-                    "else:\n"
-                    "    issue_c = ready if ready >= c else c\n"
-                    "    free_{fu}[2] = issue_c + {busy}"),
-    "issue_multi": ("best_cycle = min(free_{fu})\n"
-                    "issue_c = ready if ready >= best_cycle"
-                    " else best_cycle\n"
-                    "free_{fu}[free_{fu}.index(best_cycle)]"
-                    " = issue_c + {busy}"),
     "exec_load": ("addr = items[i + {k}].mem_addr\n"
                   "if addr is None:\n"
                   "    complete = issue_c + {l1d_latency}\n"
@@ -179,50 +135,15 @@ STREAM_TEMPLATES = {
                   "            wp_ready[{reg}] = complete\n"
                   "            if complete <= resolution:\n"
                   "                executed += 1"),
-    "exec_load_nw": ("addr = items[i + {k}].mem_addr\n"
-                     "if addr is None:\n"
-                     "    complete = issue_c + {l1d_latency}\n"
-                     "    if complete <= resolution:\n"
-                     "        executed += 1\n"
-                     "else:\n"
-                     "    wa += 1\n"
-                     "    rec += 1\n"
-                     "    if issue_c < resolution:\n"
-                     "        ok = True\n"
-                     "        if l1d_contains(addr):\n"
-                     "            complete = issue_c"
-                     " + access_data(addr, False, {pc}, True)\n"
-                     "        else:\n"
-                     "            if len(mshrs) >= {mshr_cap}:\n"
-                     "                earliest = min(mshrs)\n"
-                     "                if earliest >= resolution:\n"
-                     "                    ok = False\n"
-                     "                else:\n"
-                     "                    mshrs.remove(earliest)\n"
-                     "                    if earliest > issue_c:\n"
-                     "                        issue_c = earliest\n"
-                     "            if ok:\n"
-                     "                complete = issue_c"
-                     " + access_data(addr, False, {pc}, True)\n"
-                     "                mshrs.append(complete)\n"
-                     "        if ok:\n"
-                     "            if complete <= resolution:\n"
-                     "                executed += 1"),
     "exec_store": ("if items[i + {k}].mem_addr is not None:\n"
                    "    rec += 1\n"
                    "complete = issue_c + {store_latency}"),
-    "exec_plain": "complete = issue_c + {latency}",
     "write_reg": "wp_ready[{reg}] = complete",
     "executed_check": ("if complete <= resolution:\n"
                        "    executed += 1"),
     "tail": ("return ({length}, fetch_cycle, fetch_used, {line},"
              " executed, {loads}, {stores}, wa, rec)"),
 }
-
-
-def _emit(out, template: str, sub: dict) -> None:
-    for line in template.format(**sub).split("\n"):
-        out.append("    " + line)
 
 
 def render_stream(instrs, cfg, hot, line_shift: int) -> str:
@@ -234,56 +155,38 @@ def render_stream(instrs, cfg, hot, line_shift: int) -> str:
         "l1d_latency": cfg.l1d_latency,
         "store_latency": cfg.store_latency,
         "mshr_cap": cfg.mshr_entries,
+        "wrong_path": True,
     }
     t = STREAM_TEMPLATES
-    out = [t["head"], "    " + t["prologue"].replace("\n", "\n    ")]
-    for fu in sorted({ins.fu for ins in instrs}):
-        _emit(out, t["bind_port"], {"fu": fu})
+    out = [t["head"]]
+    _emit(out, t["prologue"], {})
+    _emit_ports(out, instrs)
     prev_line = None
     loads = stores = 0
     for k, ins in enumerate(instrs):
-        pc = ins.pc
-        line = pc >> line_shift
-        sub = dict(base, pc=pc, line=line, k=k, fu=ins.fu,
+        line = ins.pc >> line_shift
+        sub = dict(base, pc=ins.pc, line=line, k=k, fu=ins.fu,
                    loads=loads, stores=stores)
-        if prev_line is None:
-            _emit(out, t["fetch_entry"], sub)
-        elif line != prev_line:
-            _emit(out, t["fetch_cross"], sub)
+        _emit_fetch(out, sub, prev_line)
         prev_line = line
-        _emit(out, t["fetch_slot"], sub)
         _emit(out, t["squash_exit"], sub)
         _emit(out, t["ready_head"], sub)
         for reg in ins.reads:
             _emit(out, t["ready_reg"], dict(sub, reg=reg))
-        free, busy, single, fu_latency = hot[ins.fu]
-        sub["busy"] = busy
-        if single:
-            issue = "issue_single"
-        elif len(free) == 2:
-            issue = "issue_two"
-        elif len(free) == 3:
-            issue = "issue_three"
-        else:
-            issue = "issue_multi"
-        _emit(out, t[issue], sub)
+        fu_latency = _emit_issue(out, sub, hot)
         if ins.is_load:
             loads += 1
-            if ins.writes:
-                _emit(out, t["exec_load"], dict(sub, reg=ins.writes[0]))
-            else:
-                _emit(out, t["exec_load_nw"], sub)
-        elif ins.is_store:
+            _emit(out, t["exec_load"], dict(sub, reg=ins.writes[0]))
+            continue
+        if ins.is_store:
             stores += 1
             _emit(out, t["exec_store"], sub)
-            for reg in ins.writes:
-                _emit(out, t["write_reg"], dict(sub, reg=reg))
-            _emit(out, t["executed_check"], sub)
         else:
-            _emit(out, t["exec_plain"], dict(sub, latency=fu_latency))
-            for reg in ins.writes:
-                _emit(out, t["write_reg"], dict(sub, reg=reg))
-            _emit(out, t["executed_check"], sub)
+            _emit(out, STEP_TEMPLATES["exec_plain"],
+                  dict(sub, latency=fu_latency))
+        for reg in ins.writes:
+            _emit(out, t["write_reg"], dict(sub, reg=reg))
+        _emit(out, t["executed_check"], sub)
     _emit(out, t["tail"], dict(base, length=len(instrs), line=prev_line,
                                loads=loads, stores=stores))
     return "\n".join(out) + "\n"
@@ -293,25 +196,20 @@ def compile_stream(instrs, cfg, hot, line_shift: int,
                    fingerprint) -> Optional[Tuple]:
     """Compiled stream entry for one code-cache block.
 
-    Returns ``(run, length)``, or None for an empty block.  ``run``
-    returns ``(done, fetch_cycle, fetch_used, cur_line, executed,
-    loads, stores, with_addr, recovered)`` — ``done < length`` means
-    the window squashed mid-block and the stream walk must stop.
-    Blocks longer than :data:`~repro.core.timingblock.MAX_TIMING_BLOCK`
-    are truncated; the remainder re-enters as a suffix block.  A load
-    with more than one destination register cannot happen in this ISA
-    (the load templates unroll exactly one), so no gate is needed.
+    Returns ``(run, length)``, or None for an empty block and for a
+    block holding a load with no destination register, which the
+    ``exec_load`` template cannot express (no registry kernel has one;
+    the scalar executor times such blocks).  ``run`` returns ``(done,
+    fetch_cycle, fetch_used, cur_line, executed, loads, stores,
+    with_addr, recovered)`` — ``done < length`` means the window
+    squashed mid-block and the stream walk must stop.  Blocks longer
+    than :data:`~repro.core.timingblock.MAX_TIMING_BLOCK` are
+    truncated; the remainder re-enters as a suffix block.  A load with
+    more than one destination register cannot happen in this ISA.
     """
-    if not instrs:
-        return None
     if len(instrs) > MAX_TIMING_BLOCK:
         instrs = instrs[:MAX_TIMING_BLOCK]
-    key = (fingerprint, _content_key(instrs))
-    run = _POOL.get(key)
-    if run is None:
-        source = render_stream(instrs, cfg, hot, line_shift)
-        run = _compile_block(
-            source, instrs, "<streamblock:%#x>" % instrs[0].pc,
-            {"__builtins__": {"len": len, "min": min}})
-        _POOL[key] = run
-    return (run, len(instrs))
+    if not instrs or any(ins.is_load and not ins.writes for ins in instrs):
+        return None
+    return (_pooled(_POOL, render_stream, instrs, cfg, hot, line_shift,
+                    fingerprint, "streamblock"), len(instrs))

@@ -263,24 +263,38 @@ class TestBlockTemplateAudit:
             assert findings == [], \
                 rel + "\n" + "\n".join(f.render() for f in findings)
 
-    def _streamblock_variant(self, tmp_path, old, new):
-        source = (REPO_ROOT / self.REAL_MODULES[2]).read_text()
+    def _variant(self, tmp_path, rel, old, new):
+        source = (REPO_ROOT / rel).read_text()
         assert old in source, "tamper target drifted out of the module"
-        mod = tmp_path / "src" / "repro" / "wrongpath" / "streamblock.py"
+        mod = tmp_path / rel
         mod.parent.mkdir(parents=True)
         mod.write_text(source.replace(old, new))
         return mod
+
+    def _streamblock_variant(self, tmp_path, old, new):
+        return self._variant(tmp_path, self.REAL_MODULES[2], old, new)
 
     def test_tampered_template_is_flagged(self, tmp_path):
         # A template body reaching outside the whitelist (here, an
         # __import__ call) must trip the dummy-render audit.
         mod = self._streamblock_variant(
             tmp_path,
-            '"exec_plain": "complete = issue_c + {latency}",',
-            '"exec_plain": "complete = __import__(\'os\').getpid()",')
+            '"write_reg": "wp_ready[{reg}] = complete",',
+            '"write_reg": "complete = __import__(\'os\').getpid()",')
         findings = [f for f in scan(mod) if f.rule == "SC003"]
         assert findings
         assert any("whitelist" in f.message for f in findings)
+
+    def test_tampered_shared_step_is_flagged(self, tmp_path):
+        # The steps the timing and stream renderers share live in
+        # timingblock's STEP_TEMPLATES and are audited there.
+        mod = self._variant(
+            tmp_path, self.REAL_MODULES[1],
+            '"exec_plain": "complete = issue_c + {latency}",',
+            '"exec_plain": "complete = __import__(\'os\').getpid()",')
+        findings = [f for f in scan(mod) if f.rule == "SC003"]
+        assert any("STEP_TEMPLATES['exec_plain']" in f.message
+                   for f in findings)
 
     def test_non_literal_table_is_flagged(self, tmp_path):
         # Hiding the table behind a dynamic construction defeats the

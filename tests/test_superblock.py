@@ -12,7 +12,11 @@ variants of the same run against each other:
 * hypothesis-generated random programs through the functional frontend
   (correct path) and the wrong-path emulator, compiled vs scalar;
 * full ``Simulator`` runs per technique with the timing and stream
-  layers force-disabled, compared stat-for-stat via ``to_dict``;
+  layers force-disabled, compared stat-for-stat via ``to_dict`` (one
+  program puts a load into x0 on the wrong path, which the stream
+  layer leaves to the scalar executor);
+* the one warm gate: ``superblock.COMPILE_THRESHOLD`` alone keeps every
+  layer cold or makes every layer compile on the first visit;
 * the flattened data-cache fast path against the per-access
   reference implementation under every L2 prefetcher (latencies,
   counters, warm state);
@@ -24,16 +28,22 @@ variants of the same run against each other:
 
 import contextlib
 import dataclasses
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import CoreConfig, Simulator
+from repro.branch.predictors import BranchPredictorUnit
 from repro.cache.hierarchy import CacheHierarchy
 from repro.core import ooo, timingblock
+from repro.frontend.code_cache import CodeCache
+from repro.frontend.queue import RunaheadQueue, runahead_depth
 from repro.functional import superblock
 from repro.functional.emulator import Emulator
 from repro.isa.assembler import assemble
+from repro.simulator.simulation import (TECHNIQUES, SimulationResult,
+                                        build_frontend)
 from repro.workloads import build_workload
 from repro.wrongpath import base as wp_base
 from repro.wrongpath import streamblock
@@ -62,18 +72,13 @@ class _DudSuperblocks:
 
 @contextlib.contextmanager
 def _eager_thresholds():
-    """Compile every block on first execution (all three layers)."""
-    saved = (superblock.COMPILE_THRESHOLD,
-             timingblock.COMPILE_THRESHOLD, wp_base.COMPILE_THRESHOLD)
+    """Compile every block on first execution (the one warm gate)."""
+    saved = superblock.COMPILE_THRESHOLD
     superblock.COMPILE_THRESHOLD = 1
-    timingblock.COMPILE_THRESHOLD = 1
-    wp_base.COMPILE_THRESHOLD = 1
     try:
         yield
     finally:
-        (superblock.COMPILE_THRESHOLD,
-         timingblock.COMPILE_THRESHOLD,
-         wp_base.COMPILE_THRESHOLD) = saved
+        superblock.COMPILE_THRESHOLD = saved
 
 
 @contextlib.contextmanager
@@ -151,6 +156,8 @@ def _ops(aligned_only):
             lambda t: f"{t[0]} {t[1]}, {t[2]}(s0)"),
         st.tuples(st.sampled_from(("lw", "sw")), _reg, mem_off).map(
             lambda t: f"{t[0]} {t[1]}, {t[2]}(s0)"),
+        # A load with no destination: only its address side effects.
+        mem_off.map(lambda off: f"lw zero, {off}(s0)"),
     )
 
 
@@ -292,6 +299,108 @@ def test_simulation_matches_scalar_paths(name, technique):
     assert fast == slow
 
 
+#: A loop around a data-dependent branch whose fall-through block starts
+#: with a load into x0, so mispredicts put ``lw zero`` on the wrong path.
+_NODEST_LOOP = """
+    .data
+    buf: .word 1, 2, 3, 4
+    .text
+    main:
+        la s0, buf
+        li t0, 0
+        li t1, 300
+        li t2, 12345
+    loop:
+        li t3, 1103515245
+        mul t2, t2, t3
+        addi t2, t2, 12345
+        srli t4, t2, 16
+        andi t4, t4, 1
+        beqz t4, skip
+    nodest:
+        lw zero, 4(s0)
+        lw t5, 8(s0)
+        add t6, t6, t5
+    skip:
+        addi t0, t0, 1
+        blt t0, t1, loop
+        li a7, 93
+        ecall
+"""
+
+
+@pytest.mark.parametrize("technique", ("instrec", "conv", "wpemul"))
+def test_wrong_path_load_without_destination(technique, monkeypatch):
+    # The stream templates have no load without a destination register:
+    # compile_stream declines such a block and the scalar executor
+    # times it, bit-identically to a run with every layer scalar.
+    program = assemble(_NODEST_LOOP)
+    declined = []
+    compile_stream = streamblock.compile_stream
+
+    def spy(instrs, *args):
+        entry = compile_stream(instrs, *args)
+        if entry is None and instrs:
+            declined.append(instrs[0].pc)
+        return entry
+
+    monkeypatch.setattr(streamblock, "compile_stream", spy)
+
+    def run():
+        sim = Simulator(program, config=CoreConfig.scaled(),
+                        technique=technique, name="nodest")
+        return _result_dict(sim), sim
+
+    fast, fast_sim = run()
+    assert program.symbol("nodest") in declined
+    assert fast_sim.core.streamblock_instructions > 0
+    assert fast_sim.core.stats.wp_loads > 0
+    with _all_layers_scalar():
+        slow, _ = run()
+    assert fast == slow
+
+
+# ---------------------------------------------------------------------------
+# The one warm gate: superblock.COMPILE_THRESHOLD governs every layer.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("technique", ("conv", "wpemul"))
+def test_one_threshold_gates_every_layer(technique, monkeypatch):
+    workload = build_workload("gap.bfs", scale="tiny", check=False)
+
+    def run(threshold):
+        monkeypatch.setattr(superblock, "COMPILE_THRESHOLD", threshold)
+        # A fresh per-program superblock cache: blocks compiled by an
+        # earlier run would otherwise bypass the gate.
+        monkeypatch.setattr(superblock.SuperblockCache, "_SHARED",
+                            weakref.WeakKeyDictionary())
+        sim = Simulator(workload.program, config=CoreConfig.scaled(),
+                        technique=technique, max_instructions=4000,
+                        name="gap.bfs")
+        return _result_dict(sim), sim
+
+    default, _ = run(superblock.COMPILE_THRESHOLD)
+
+    cold, sim = run(10 ** 9)
+    assert sim.frontend.superblock_instructions == 0
+    assert sim.core.timingblock_instructions == 0
+    assert sim.core.streamblock_instructions == 0
+    assert cold == default
+
+    eager, sim = run(1)
+    blocks = sim.frontend.emulator.superblocks
+    cc = sim.core.code_cache
+    # Compiled on the first visit: no pc ever waits in a warm count.
+    assert not blocks._warm_correct and not blocks._warm_wrong
+    assert not cc._timing_warm and not cc._wpstream_warm
+    assert sim.frontend.superblock_instructions > 0
+    assert sim.core.timingblock_instructions > 0
+    assert sim.core.streamblock_instructions > 0
+    if technique == "wpemul":
+        assert blocks._wrong
+    assert eager == default
+
+
 # ---------------------------------------------------------------------------
 # Flattened cache fast path vs the per-access reference, per prefetcher.
 # ---------------------------------------------------------------------------
@@ -358,14 +467,46 @@ class TestCodeCacheCompiledMaps:
         assert not cc._timing and not cc._wpstream
         assert not cc._timing_warm and not cc._wpstream_warm
 
+    def _run_restored(self, program, image):
+        """A conv run whose core starts on a code cache restored from
+        ``image``, as snapshot restore builds it."""
+        cfg = CoreConfig.scaled()
+        code_cache = CodeCache()
+        code_cache.load_state(image, program.pc_index)
+        frontend = build_frontend(program, cfg, "conv")
+        queue = RunaheadQueue(frontend.produce_batch,
+                              depth=runahead_depth(cfg))
+        hierarchy = CacheHierarchy.from_config(cfg)
+        bpu = BranchPredictorUnit.from_config(cfg)
+        core = ooo.OoOCore(cfg, hierarchy, bpu, TECHNIQUES["conv"](),
+                           code_cache=code_cache, queue=queue)
+        core.drain(queue, 4000)
+        result = SimulationResult("gap.bfs", "conv", cfg, core.finalize(),
+                                  hierarchy, bpu, frontend.output,
+                                  frontend.emulator.exit_code, 0.0,
+                                  frontend)
+        return result.to_dict(), core
+
     def test_restored_cache_recompiles(self):
-        # After a snapshot-style restore the compiled maps are empty but
-        # the next run repopulates them from the artifact pools.
+        # A restored cache starts with empty compiled maps; a core run on
+        # it re-attaches its timing and stream blocks from the
+        # process-wide pools without compiling, and matches the scalar
+        # reference run from the same image.
         sim, program = self._warm_cache()
-        cc = sim.core.code_cache
-        cc.load_state(cc.state_dict(), program.pc_index)
-        sim2, _ = self._warm_cache()
-        assert sim2.core.timingblock_instructions > 0
+        image = sim.core.code_cache.state_dict()
+        # Blocks span the whole restored text from the first visit on,
+        # so fill the pools with them once.
+        self._run_restored(program, image)
+        pools = (len(timingblock._POOL), len(streamblock._POOL))
+        fast, core = self._run_restored(program, image)
+        assert core.timingblock_instructions > 0
+        assert core.streamblock_instructions > 0
+        assert (len(timingblock._POOL), len(streamblock._POOL)) == pools
+        with _all_layers_scalar():
+            slow, slow_core = self._run_restored(program, image)
+        assert slow_core.timingblock_instructions == 0
+        assert slow_core.streamblock_instructions == 0
+        assert fast == slow
 
 
 # ---------------------------------------------------------------------------

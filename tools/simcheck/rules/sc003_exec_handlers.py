@@ -8,9 +8,11 @@ The tree has exactly two sanctioned ``exec`` sites:
 * ``repro.functional.superblock._compile_block`` compiles the
   per-basic-block superhandlers — the functional block variants
   (``superblock.py``'s own template tables), the timing superhandlers
-  (``repro.core.timingblock.TIMING_TEMPLATES``) and the wrong-path
-  stream superhandlers (``repro.wrongpath.streamblock``'s
-  ``STREAM_TEMPLATES``) all funnel their rendered source through it.
+  (``repro.core.timingblock``'s ``TIMING_TEMPLATES``) and the
+  wrong-path stream superhandlers (``repro.wrongpath.streamblock``'s
+  ``STREAM_TEMPLATES``), plus the pipeline steps the last two share
+  (``timingblock.STEP_TEMPLATES``), all funnel their rendered source
+  through it.
 
 That speed trick is only safe while the generated code stays trivially
 auditable, so this rule:
@@ -172,7 +174,9 @@ BLOCK_PROFILES = {
         "attrs_any": set(),
     },
     "repro/core/timingblock.py": {
-        "tables": ("TIMING_TEMPLATES",),
+        # STEP_TEMPLATES holds the steps the stream renderer shares, so
+        # they are audited once, here.
+        "tables": ("STEP_TEMPLATES", "TIMING_TEMPLATES"),
         "names": {"buf", "i", "regready", "fetch_cycle", "fetch_used",
                   "disp_cycle", "disp_used", "com_cycle", "com_used",
                   "cur_line", "last_retire", "rob_rel", "rob_popleft",
@@ -203,23 +207,15 @@ BLOCK_PROFILES = {
     "repro/wrongpath/streamblock.py": {
         "tables": ("STREAM_TEMPLATES",),
         "names": {"items", "i", "wp_ready", "regready", "mshrs",
-                  "port_hot", "l1i_access", "access_data",
-                  "l1d_contains", "fetch_cycle", "fetch_used",
-                  "cur_line", "resolution", "executed", "wp_get",
-                  "wa", "rec", "free_alu", "penalty", "fetch_c",
-                  "ready", "t", "best_cycle", "issue_c", "a", "b",
-                  "c", "addr", "complete", "ok", "earliest", "len",
-                  "min"},
-        "stores": {"wp_get", "wa", "rec", "penalty", "fetch_cycle",
-                   "fetch_used", "fetch_c", "ready", "t",
-                   "best_cycle", "issue_c", "a", "b", "c", "addr",
-                   "complete", "ok", "earliest", "free_alu",
-                   "executed"},
-        "substores": {"wp_ready", "free_alu"},
-        "calls": {"l1i_access", "wp_get", "min", "len",
-                  "l1d_contains", "access_data"},
-        "dotted_calls": {"mshrs.remove", "mshrs.append",
-                         "free_alu.index"},
+                  "access_data", "l1d_contains", "fetch_cycle",
+                  "fetch_used", "resolution", "executed", "wp_get", "wa",
+                  "rec", "fetch_c", "ready", "t", "issue_c", "addr",
+                  "complete", "ok", "earliest", "len", "min"},
+        "stores": {"wp_get", "wa", "rec", "ready", "t", "issue_c",
+                   "addr", "complete", "ok", "earliest", "executed"},
+        "substores": {"wp_ready"},
+        "calls": {"wp_get", "min", "len", "l1d_contains", "access_data"},
+        "dotted_calls": {"mshrs.remove", "mshrs.append"},
         "attrs": {"wp_ready.get"},
         "attr_stores": set(),
         "attrs_any": {"mem_addr"},
