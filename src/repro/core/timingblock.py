@@ -18,13 +18,13 @@ with all of that baked in:
 
 The rendered function carries no per-core state: every mutable object
 (the register scoreboard, ROB/LQ/SQ release deques, store buffer, cache
-access paths, port free lists) arrives as an argument, so a compiled
-block is a pure function and lives in a process-wide pool keyed by the
+access paths, port free lists) arrives as an argument, so its code
+lives in the shared block pool (``superblock._POOL``) keyed by the
 config fingerprint plus the timing-relevant content of its
-instructions.  Fresh cores — and fresh ``Simulator`` instances, which
-benchmarking constructs per repeat — reuse pooled artifacts instead of
-recompiling, and snapshot restore needs no special handling beyond the
-per-cache pc-map invalidation (`CodeCache.load_state` drops it).
+instructions.  Fresh cores — and fresh ``Simulator`` instances and
+programs — reuse pooled code instead of re-rendering it, and snapshot
+restore needs no special handling beyond the per-cache pc-map
+invalidation (`CodeCache.load_state` drops it).
 
 Equivalence contract: running a block's function is cycle-for-cycle and
 stat-for-stat identical to iterating the scalar ``process_batch`` body
@@ -38,7 +38,7 @@ The wrong-path stream superhandlers (:mod:`repro.wrongpath.streamblock`)
 time their instructions with the same fetch and issue steps, so this
 module also owns what the two renderers share: the step table
 ``STEP_TEMPLATES``, the emit helpers, the port-shape fingerprint and the
-pool-or-compile helper :func:`_pooled`.
+content key :func:`_content_key`.
 
 Auditability: sources are assembled from the module-level statement
 templates below (``STEP_TEMPLATES`` and ``TIMING_TEMPLATES``) with
@@ -54,16 +54,18 @@ from __future__ import annotations
 from typing import Tuple
 
 from repro.frontend.code_cache import BLOCK_CONTROL
-from repro.functional.superblock import _compile_block
+# The shared block pool is bound here and in streamblock too: those are
+# the two names perfbench's reset_jit_pools clears.
+from repro.functional.superblock import _POOL, _compile_block
 
 #: Longest rendered block; longer straight-line runs are split (the
 #: remainder re-enters as a suffix block at its own start pc).
 MAX_TIMING_BLOCK = 64
 
-#: Pure-function artifact pool: (cfg fingerprint, block content) ->
-#: compiled ``run``.  Never invalidated — entries are content-addressed
-#: and bind no mutable state.
-_POOL: dict = {}
+#: The only builtins timing and stream blocks reach.  Their code binds
+#: no instruction objects (it reads ``buf``/``items`` instead), so they
+#: pass none to ``_compile_block``.
+BLOCK_BUILTINS = {"__builtins__": {"len": len, "min": min}}
 
 
 def port_shape(hot) -> tuple:
@@ -88,7 +90,9 @@ def cfg_fingerprint(cfg, hot, line_shift: int) -> tuple:
 
 
 def _content_key(instrs) -> tuple:
-    """The timing-relevant content of a block (program-independent)."""
+    """The timing-relevant content of a block (program-independent:
+    immediates are left out, so programs built from different seeds
+    share timing and stream code)."""
     return tuple((ins.pc, ins.op, ins.fu, ins.reads, ins.writes,
                   ins.is_load, ins.is_store, ins.is_syscall)
                  for ins in instrs)
@@ -266,21 +270,6 @@ def _emit_issue(out, sub: dict, hot) -> int:
     return latency
 
 
-def _pooled(pool: dict, render, instrs, cfg, hot, line_shift: int,
-            fingerprint, label: str):
-    """The compiled ``run`` for ``instrs`` from ``pool``; rendered with
-    ``render(instrs, cfg, hot, line_shift)`` and compiled on a miss."""
-    key = (fingerprint, _content_key(instrs))
-    run = pool.get(key)
-    if run is None:
-        run = _compile_block(
-            render(instrs, cfg, hot, line_shift), instrs,
-            "<%s:%#x>" % (label, instrs[0].pc),
-            {"__builtins__": {"len": len, "min": min}})
-        pool[key] = run
-    return run
-
-
 def render_timing(instrs, cfg, hot, line_shift: int) -> str:
     """Source of the flat timing function for ``instrs``.
 
@@ -358,8 +347,10 @@ def compile_timing(instrs, cfg, hot, line_shift: int, fingerprint,
     if len(instrs) > MAX_TIMING_BLOCK:
         instrs = instrs[:MAX_TIMING_BLOCK]
         ctl = False
-    run = _pooled(_POOL, render_timing, instrs, cfg, hot, line_shift,
-                  fingerprint, "timingblock")
+    run = _compile_block(
+        ("timing", fingerprint, _content_key(instrs)),
+        lambda: render_timing(instrs, cfg, hot, line_shift), (),
+        "<timingblock:%#x>" % instrs[0].pc, BLOCK_BUILTINS)
     return (run, len(instrs), ctl,
             sum(1 for ins in instrs if ins.is_load),
             sum(1 for ins in instrs if ins.is_store),

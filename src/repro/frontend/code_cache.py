@@ -50,9 +50,8 @@ class CodeCache:
     #: compilers rebuild on first execution, so snapshots stay small
     #: and free of process-specific code objects.  The ``*_warm``
     #: counters are compile heuristics that never affect results.
-    SNAPSHOT_EXCLUDE = ("_blocks", "_artifacts", "_artifact_pool",
-                        "_timing", "_timing_warm", "_wpstream",
-                        "_wpstream_warm")
+    SNAPSHOT_EXCLUDE = ("_blocks", "_artifacts", "_timing",
+                        "_timing_warm", "_wpstream", "_wpstream_warm")
 
     def __init__(self, capacity: Optional[int] = None):
         if capacity is not None and capacity < 1:
@@ -62,16 +61,12 @@ class CodeCache:
         # start pc -> (instructions, stop reason); flushed on any mutation.
         self._blocks: dict = {}
         # Compiled artifacts attached to memoized blocks (see
-        # :meth:`block_compiled`).  ``_artifacts`` mirrors ``_blocks``'
-        # lifetime; ``_artifact_pool`` is keyed by content digest and
-        # survives invalidation, so a block whose contents come back
-        # after an insert/eviction reattaches without recompiling.
+        # :meth:`block_compiled`); mirrors ``_blocks``' lifetime.
         self._artifacts: dict = {}
-        self._artifact_pool: dict = {}
         # Compiled timing superhandlers (repro.core.timingblock):
         # start pc -> timing entry, mirrors ``_blocks``' lifetime.  The
-        # compiled functions themselves are pure and live in the
-        # process-wide content-addressed pool, so this map is only the
+        # code behind the entries lives in the shared content-addressed
+        # block pool (superblock._POOL), so this map is only the
         # pc -> artifact index.  ``_timing_warm`` holds pre-compile
         # execution counts; it is a heuristic (never affects results)
         # and survives block invalidation deliberately.
@@ -84,8 +79,6 @@ class CodeCache:
         self._wpstream_warm: dict = {}
         self.lookups = 0
         self.misses = 0
-        #: Compiler invocations (cache effectiveness + test hook).
-        self.artifact_compiles = 0
 
     def insert(self, instr: Instruction) -> None:
         """Record the decode info of a correct-path instruction."""
@@ -161,14 +154,14 @@ class CodeCache:
     def block_compiled(self, start_pc: int, compiler) -> Tuple:
         """:meth:`block` plus a compiled artifact attached to the memo.
 
-        ``compiler(instrs, stop)`` renders the block once (it may return
-        None for an empty run); the result is cached beside the block
-        memo and additionally pooled under the block's content digest,
-        so invalidation (insert/eviction flushes ``_blocks``) costs a
-        re-walk but not a re-render unless the contents actually
-        changed.  Snapshot restore (:meth:`load_state`) drops *both*
-        maps — compiled state never round-trips through an image, it is
-        recompiled on first use (DESIGN.md "Hot path architecture").
+        ``compiler(instrs, stop)`` builds the artifact once per memoized
+        block (it may return None for an empty run); invalidation
+        (insert/eviction flushes ``_blocks``) drops it with the block,
+        and the next call re-attaches it from the shared block pool
+        unless the contents actually changed.  Snapshot restore
+        (:meth:`load_state`) drops it too — compiled state never
+        round-trips through an image (DESIGN.md "Hot path
+        architecture").
 
         Returns ``(instructions, stop, artifact)``; lookup/miss charging
         is exactly :meth:`block`'s.
@@ -176,12 +169,7 @@ class CodeCache:
         instrs, stop = self.block(start_pc)
         artifact = self._artifacts.get(start_pc, _ABSENT)
         if artifact is _ABSENT:
-            digest = (stop, tuple((ins.pc, ins.op) for ins in instrs))
-            artifact = self._artifact_pool.get(digest, _ABSENT)
-            if artifact is _ABSENT:
-                artifact = compiler(instrs, stop)
-                self.artifact_compiles += 1
-                self._artifact_pool[digest] = artifact
+            artifact = compiler(instrs, stop)
             self._artifacts[start_pc] = artifact
         return instrs, stop, artifact
 
@@ -214,12 +202,9 @@ class CodeCache:
             entries[pc] = instr
         self._entries = entries
         self._blocks.clear()
-        # Recompile-on-restore: compiled attachments never round-trip
-        # through snapshot images (the pool could only be trusted if the
-        # restoring process compiled it, which is exactly what first use
-        # will do anyway).
+        # Compiled attachments never round-trip through snapshot images:
+        # first use re-attaches them against the restored contents.
         self._artifacts.clear()
-        self._artifact_pool.clear()
         self._timing.clear()
         self._timing_warm.clear()
         self._wpstream.clear()

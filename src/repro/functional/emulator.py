@@ -95,10 +95,10 @@ class Emulator:
         self._instr_at = program.pc_index.get
         # Lazily compiled per-basic-block superhandlers (DESIGN.md "Hot
         # path architecture"); keyed over the immutable static text, so
-        # snapshot restores never invalidate them — and shared between
-        # every emulator of the same program, so repeated runs (bench
-        # repeats, sampled intervals) reuse the compiled set.
-        self.superblocks = SuperblockCache.shared(program)
+        # snapshot restores never invalidate them.  Their code comes
+        # from the process-wide block pool, so a block this process has
+        # compiled before, for any program, is not compiled again.
+        self.superblocks = SuperblockCache(program.pc_index)
         # Initialised data segments.
         for address, words in program.data:
             self.memory.write_words(address, words)

@@ -36,16 +36,17 @@ and the ``test_superblock`` hypothesis suite pin this down.
 
 Audit contract (simcheck SC003): the rendered code is generated *only*
 by substituting integer (or whitelisted-name) literals into the
-module-level template tables below, and the one ``exec`` site is
-:func:`_compile_block`.  SC003 re-renders every template with dummy
-substitutions and checks the result against an AST whitelist, exactly as
-it audits the per-opcode handler templates.
+module-level template tables below, and the one ``compile``/``exec``
+site is :func:`_compile_block`, which every block layer (these three
+variants, ``repro.core.timingblock`` and ``repro.wrongpath.streamblock``)
+compiles through its one bounded code pool.  SC003 re-renders every
+template with dummy substitutions and checks the result against an AST
+whitelist, exactly as it audits the per-opcode handler templates.
 """
 
 from __future__ import annotations
 
 import struct
-import weakref
 from typing import Dict, List, Optional, Tuple
 
 from repro.frontend.dyninstr import DynInstr
@@ -428,6 +429,21 @@ def render_items(instrs: List[Instruction]) -> str:
 
 _BASE_NS = None
 
+#: The one pool of compiled block code, shared by every layer: (layer
+#: tag, content key) -> the code object ``compile()`` returned.  Dict
+#: order is recency (a hit re-inserts its key), so the first key is the
+#: least recently used one.  Not locked: a process simulates on one
+#: thread (the engine and the daemon run jobs in worker processes).
+_POOL: dict = {}
+
+#: Most code objects :data:`_POOL` holds; a miss beyond it evicts the
+#: least recently used entry.  Sized on perfbench ``serve`` (seed 1, a
+#: 2-vCPU VM), whose two daemon workers grow to about 2,700 and 3,800
+#: entries unbounded: at 3072 its median request time matches the
+#: unbounded pool's and its peak RSS is 6-7% above per-job caching;
+#: 2048 gives back part of the speed-up, 4096 costs memory for none.
+POOL_LIMIT = 3072
+
 
 def _base_ns() -> dict:
     global _BASE_NS
@@ -446,22 +462,45 @@ def _base_ns() -> dict:
     return _BASE_NS
 
 
-def _compile_block(source: str, instrs: List[Instruction], label: str,
-                   extra: dict):
-    """Compile one rendered block body and return its ``run`` function.
+def block_key(instrs) -> tuple:
+    """Everything :func:`render_correct`, :func:`render_wrongpath` and
+    :func:`render_items` read from ``instrs``, for :data:`_POOL` keys.
 
-    The namespace holds the audited helper set, the block's instruction
-    objects (``_I0``..``_In``, for the record tails) and the caller's
-    record class bindings.  This is the only ``exec`` in the module;
+    An ``fli`` immediate enters by ``repr``: ``0.0 == -0.0`` and the two
+    hash alike, yet they render to different literals.
+    """
+    return tuple((ins.pc, ins.op, ins.rd, ins.rs1, ins.rs2,
+                  repr(ins.imm) if ins.op == "fli" else ins.imm,
+                  ins.target)
+                 for ins in instrs)
+
+
+def _compile_block(key: tuple, render, instrs, label: str,
+                   extra: dict):
+    """The ``run`` function of one block, compiled through the pool.
+
+    ``key`` is the layer tag followed by the block's content key;
+    ``render()`` makes the block's source only when :data:`_POOL`
+    misses.  The code object is always ``exec``-ed into a fresh
+    namespace holding the audited helper set, the caller's own
+    instruction objects (``_I0``..``_In``, for the record tails) and its
+    ``extra`` bindings, so a block never aliases another program's
+    instructions.  This is the only ``compile``/``exec`` in the module;
     SC003 audits the templates it renders from.
     """
+    code = _POOL.pop(key, None)
+    if code is None:
+        code = compile(render(), label, "exec")
+        if len(_POOL) >= POOL_LIMIT:
+            del _POOL[next(iter(_POOL))]
+    _POOL[key] = code
     ns = dict(_base_ns())
     index = 0
     for instr in instrs:
         ns["_I%d" % index] = instr
         index += 1
     ns.update(extra)
-    exec(compile(source, label, "exec"), ns)
+    exec(code, ns)
     return ns.pop("run")
 
 
@@ -475,7 +514,8 @@ def compile_items_builder(instrs, item_cls, label: str = "<wpitems>"):
     """
     if not instrs:
         return None
-    return _compile_block(render_items(instrs), instrs, label,
+    return _compile_block(("items", block_key(instrs)),
+                          lambda: render_items(instrs), instrs, label,
                           {"_WP": item_cls, "_new": item_cls.__new__})
 
 
@@ -519,7 +559,7 @@ def compile_when_warm(warm: dict, compiled: dict, pc: int, build):
 
 
 class SuperblockCache:
-    """Lazily compiled superhandlers for one program's static code.
+    """Lazily compiled superhandlers for one emulator's static code.
 
     Keyed by entry pc over the immutable ``program.pc_index`` (the ISA
     has no self-modifying code), so entries stay valid for the life of
@@ -532,28 +572,10 @@ class SuperblockCache:
     Hot callers read the mode dicts directly (``_correct.get(pc)``) and
     call the ``compile_*`` methods only on a miss; a falsy
     :data:`UNCOMPILABLE` entry caches pcs with no block (text holes,
-    syscalls, unknown opcodes) so discovery never re-runs.
+    syscalls, unknown opcodes) so discovery never re-runs.  Every
+    emulator builds its own cache, with its own warm counts; the code
+    behind the entries comes from the shared :data:`_POOL`.
     """
-
-    #: Program -> shared cache (weak: dropping the program drops its
-    #: compiled blocks).  See :meth:`shared`.
-    _SHARED: "weakref.WeakKeyDictionary" = None  # initialised below
-
-    @classmethod
-    def shared(cls, program):
-        """The per-program cache, shared by every emulator of ``program``.
-
-        Blocks are pure functions of the immutable static text, so all
-        emulators of one program — including the fresh ``Simulator``
-        instances a benchmark's repeat loop constructs — can reuse one
-        compiled set instead of re-rendering it.  Keyed weakly: the
-        cache lives exactly as long as its program does.
-        """
-        cache = cls._SHARED.get(program)
-        if cache is None:
-            cache = cls(program.pc_index)
-            cls._SHARED[program] = cache
-        return cache
 
     def __init__(self, pc_index):
         self._pc_index = pc_index
@@ -565,9 +587,6 @@ class SuperblockCache:
         #: (dropped once the pc is resolved into the mode dict).
         self._warm_correct: dict = {}
         self._warm_wrong: dict = {}
-        #: Distinct block compilations (both modes) — the CI
-        #: throughput-smoke guard asserts this is non-zero after a run.
-        self.compiled_blocks = 0
 
     def compile_correct(self, pc: int):
         return compile_when_warm(self._warm_correct, self._correct, pc,
@@ -581,10 +600,10 @@ class SuperblockCache:
         instrs, terminated = discover(self._pc_index, pc)
         if not instrs:
             return UNCOMPILABLE
-        run = _compile_block(render_correct(instrs), instrs,
+        run = _compile_block(("correct", block_key(instrs)),
+                             lambda: render_correct(instrs), instrs,
                              "<superblock:%#x>" % pc,
                              {"_DI": DynInstr, "_new": DynInstr.__new__})
-        self.compiled_blocks += 1
         return (run, len(instrs), terminated)
 
     def _build_wrongpath(self, pc: int):
@@ -594,12 +613,9 @@ class SuperblockCache:
         instrs, _terminated = discover(self._pc_index, pc)
         if not instrs:
             return UNCOMPILABLE
-        run = _compile_block(render_wrongpath(instrs), instrs,
+        run = _compile_block(("wrongpath", block_key(instrs)),
+                             lambda: render_wrongpath(instrs), instrs,
                              "<superblock-wp:%#x>" % pc,
                              {"_WR": WrongPathRecord,
                               "_new": WrongPathRecord.__new__})
-        self.compiled_blocks += 1
         return (run, len(instrs))
-
-
-SuperblockCache._SHARED = weakref.WeakKeyDictionary()

@@ -30,10 +30,11 @@ mirroring the scalar executor:
 
 The rendered function carries no per-core or per-window state: the
 items list, ``wp_ready`` overlay, scoreboard, MSHR list, port free
-lists, and cache access paths all arrive as arguments, so a compiled
-block is a pure function pooled process-wide under the config
-fingerprint plus the block's timing-relevant content — fresh cores and
-fresh ``Simulator`` instances reuse artifacts instead of recompiling.
+lists, and cache access paths all arrive as arguments, so its code
+lives in the shared block pool (``superblock._POOL``) under the config
+fingerprint plus the block's timing-relevant content — fresh cores,
+``Simulator`` instances and programs reuse pooled code instead of
+re-rendering it.
 
 Equivalence contract: running a block's function over items
 ``i .. i+length-1`` is cycle-for-cycle and counter-for-counter
@@ -58,14 +59,12 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.core.timingblock import (MAX_TIMING_BLOCK, STEP_TEMPLATES,
-                                    _emit, _emit_fetch, _emit_issue,
-                                    _emit_ports, _pooled, port_shape)
-
-#: Pure-function artifact pool: (cfg fingerprint, block content) ->
-#: compiled ``run``.  Never invalidated — entries are content-addressed
-#: and bind no mutable state.
-_POOL: dict = {}
+from repro.core.timingblock import (BLOCK_BUILTINS, MAX_TIMING_BLOCK,
+                                    STEP_TEMPLATES, _content_key, _emit,
+                                    _emit_fetch, _emit_issue, _emit_ports,
+                                    port_shape)
+# _POOL: see the same import in repro.core.timingblock.
+from repro.functional.superblock import _POOL, _compile_block
 
 
 def cfg_fingerprint(cfg, hot, line_shift: int) -> tuple:
@@ -211,5 +210,8 @@ def compile_stream(instrs, cfg, hot, line_shift: int,
         instrs = instrs[:MAX_TIMING_BLOCK]
     if not instrs or any(ins.is_load and not ins.writes for ins in instrs):
         return None
-    return (_pooled(_POOL, render_stream, instrs, cfg, hot, line_shift,
-                    fingerprint, "streamblock"), len(instrs))
+    run = _compile_block(
+        ("stream", fingerprint, _content_key(instrs)),
+        lambda: render_stream(instrs, cfg, hot, line_shift), (),
+        "<streamblock:%#x>" % instrs[0].pc, BLOCK_BUILTINS)
+    return (run, len(instrs))

@@ -1,11 +1,18 @@
 # simcheck-fixture: SC003
-"""Exec-handler violations: an eval outside _build_handlers, a template
-substitution that escapes the whitelist, and one that cannot be resolved
-to a constant."""
+"""Exec-handler violations: an eval outside _build_handlers, a compile()
+whose code object runs without exec, a template substitution that
+escapes the whitelist, and one that cannot be resolved to a constant."""
+
+import types
 
 
 def decode(payload):
     return eval(payload)  # expect: SC003
+
+
+def load(source):
+    code = compile(source, "<load>", "exec")  # expect: SC003
+    return types.FunctionType(code.co_consts[0], {})
 
 
 def _build_handlers(compute):

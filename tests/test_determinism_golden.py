@@ -12,6 +12,15 @@ It pins the two other drivers of the same timing model the same way: a
 shared-LLC stats, outputs) and trace replay through
 :func:`simulate_trace`.
 
+Beside the digests, ``tests/data/jit_counts_golden.json`` pins how many
+instructions each compiled block layer ran in the single-core runs
+(``superblock_instructions``, ``timingblock_instructions``,
+``streamblock_instructions``).  Compiled and scalar execution give the
+same digests, so only these counts show that every layer stayed
+engaged, and that a change kept each layer's compile decisions.  A
+change meant to move those decisions (the warm-gate value, say)
+re-records the counts in the same commit.
+
 If an intentional modeling change alters these numbers, regenerate the
 digests (see ``tests/data/determinism_golden.json``) in the same commit
 and say why in the commit message; an *unintentional* mismatch here
@@ -32,6 +41,8 @@ from repro.workloads import build_workload
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data",
                            "determinism_golden.json")
+JIT_COUNTS_PATH = os.path.join(os.path.dirname(__file__), "data",
+                               "jit_counts_golden.json")
 WORKLOADS = ("gap.bfs", "spec.int.xz_like")
 MAX_INSTRUCTIONS = 30000
 MULTICORE_WORKLOADS = ("gap.bfs", "spec.int.hashjoin_like")
@@ -57,24 +68,67 @@ def goldens():
 
 
 @pytest.fixture(scope="module")
+def jit_counts():
+    with open(JIT_COUNTS_PATH) as fh:
+        return json.load(fh)
+
+
+@pytest.fixture(scope="module")
 def programs():
     return {name: build_workload(name, scale="small", check=False)
             for name in WORKLOADS + MULTICORE_WORKLOADS}
 
 
+@pytest.fixture(scope="module")
+def single_core(programs):
+    """Each single-core cell, simulated once: ``key -> (digest, JIT
+    counts)``, shared by the digest and JIT-count tests."""
+    runs = {}
+
+    def run(workload, technique):
+        key = f"{workload}/{technique}"
+        if key not in runs:
+            wl = programs[workload]
+            sim = Simulator(wl.program, technique=technique,
+                            max_instructions=MAX_INSTRUCTIONS,
+                            name=wl.name)
+            result = sim.run()
+            runs[key] = (_digest(result.to_dict()), {
+                "superblock_instructions":
+                    sim.frontend.superblock_instructions,
+                "timingblock_instructions":
+                    sim.core.timingblock_instructions,
+                "streamblock_instructions":
+                    sim.core.streamblock_instructions,
+            })
+        return runs[key]
+
+    return run
+
+
 @pytest.mark.parametrize("workload", WORKLOADS)
 @pytest.mark.parametrize("technique", ALL_TECHNIQUES)
 def test_simulation_matches_golden_digest(workload, technique, goldens,
-                                          programs):
+                                          single_core):
     key = f"{workload}/{technique}"
     assert key in goldens, f"no committed digest for {key}"
-    wl = programs[workload]
-    result = Simulator(wl.program, technique=technique,
-                       max_instructions=MAX_INSTRUCTIONS,
-                       name=wl.name).run()
-    assert _digest(result.to_dict()) == goldens[key], (
+    assert single_core(workload, technique)[0] == goldens[key], (
         f"{key}: simulation output diverged from the committed golden — "
         "a hot-path change altered observable semantics")
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+@pytest.mark.parametrize("technique", ALL_TECHNIQUES)
+def test_jit_counts_match_golden(workload, technique, jit_counts,
+                                 single_core):
+    """Exact per-layer compiled-instruction counts: a layer that stops
+    compiling, wholly or in part, or compiles on a different visit,
+    moves them even though the digest stays put."""
+    key = f"{workload}/{technique}"
+    assert key in jit_counts, f"no pinned JIT counts for {key}"
+    assert single_core(workload, technique)[1] == jit_counts[key], (
+        f"{key}: a compiled block layer ran a different number of "
+        "instructions than the pinned count")
 
 
 @pytest.mark.parametrize("technique", MULTICORE_TECHNIQUES)
@@ -113,8 +167,10 @@ def test_trace_replay_matches_golden_digest(technique, goldens, trace):
         f"{key}: trace replay diverged from the committed golden")
 
 
-def test_golden_file_covers_all_configs(goldens):
-    expected = {f"{w}/{t}" for w in WORKLOADS for t in ALL_TECHNIQUES}
+def test_golden_file_covers_all_configs(goldens, jit_counts):
+    single = {f"{w}/{t}" for w in WORKLOADS for t in ALL_TECHNIQUES}
+    expected = set(single)
     expected |= {f"{MULTICORE_KEY}/{t}" for t in MULTICORE_TECHNIQUES}
     expected |= {f"{TRACE_KEY}/{t}" for t in TRACE_TECHNIQUES}
     assert set(goldens) == expected
+    assert set(jit_counts) == single

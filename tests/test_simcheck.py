@@ -315,6 +315,15 @@ class TestBlockTemplateAudit:
         assert len(findings) == 1
         assert "sanctioned" in findings[0].message
 
+    def test_re_compile_is_not_flagged(self, tmp_path):
+        # Only the builtin compile() is a code-object site; a method
+        # named compile (re.compile) is not.
+        pkg = tmp_path / "src" / "repro"
+        pkg.mkdir(parents=True)
+        mod = pkg / "patterns.py"
+        mod.write_text("import re\n\nWORD = re.compile(r'\\w+')\n")
+        assert [f for f in scan(mod) if f.rule == "SC003"] == []
+
     def test_compile_block_sanctioned_only_in_superblock(self, tmp_path):
         # The _compile_block carve-out is keyed to superblock.py's path;
         # the same function name elsewhere in repro stays forbidden.

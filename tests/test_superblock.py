@@ -22,13 +22,13 @@ variants of the same run against each other:
   counters, warm state);
 * CodeCache invalidation of the compiled pc-maps on insert and
   snapshot restore;
-* the process-wide artifact pools and the per-program shared
-  superblock cache reusing compiled blocks across fresh instances.
+* the one process-wide code pool: blocks compiled for one program are
+  reused by fresh simulators and fresh programs, never served to a
+  program whose blocks differ, and the pool stays within its bound.
 """
 
 import contextlib
 import dataclasses
-import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -84,19 +84,35 @@ def _eager_thresholds():
 @contextlib.contextmanager
 def _all_layers_scalar():
     """Force every layer's hot caller down its scalar reference path."""
-    saved_shared = superblock.SuperblockCache.shared
+    cache = superblock.SuperblockCache
+    saved_correct = cache.compile_correct
+    saved_wrong = cache.compile_wrongpath
     saved_stream = wp_base._compile_stream_block
     saved_timing = ooo.OoOCore._compile_timing
-    superblock.SuperblockCache.shared = classmethod(
-        lambda cls, program: _DudSuperblocks())
+    cache.compile_correct = lambda self, pc: superblock.UNCOMPILABLE
+    cache.compile_wrongpath = lambda self, pc: superblock.UNCOMPILABLE
     wp_base._compile_stream_block = lambda core, pc: ()
     ooo.OoOCore._compile_timing = lambda self, pc: ()
     try:
         yield
     finally:
-        superblock.SuperblockCache.shared = saved_shared
+        cache.compile_correct = saved_correct
+        cache.compile_wrongpath = saved_wrong
         wp_base._compile_stream_block = saved_stream
         ooo.OoOCore._compile_timing = saved_timing
+
+
+def _spy_compiles(monkeypatch) -> list:
+    """Spy on the pool's ``compile()``: one ``(label, pool size)`` per
+    real compile, the size taken before the new entry goes in."""
+    calls = []
+
+    def spy(source, label, mode):
+        calls.append((label, len(superblock._POOL)))
+        return compile(source, label, mode)
+
+    monkeypatch.setattr(superblock, "compile", spy, raising=False)
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +386,6 @@ def test_one_threshold_gates_every_layer(technique, monkeypatch):
 
     def run(threshold):
         monkeypatch.setattr(superblock, "COMPILE_THRESHOLD", threshold)
-        # A fresh per-program superblock cache: blocks compiled by an
-        # earlier run would otherwise bypass the gate.
-        monkeypatch.setattr(superblock.SuperblockCache, "_SHARED",
-                            weakref.WeakKeyDictionary())
         sim = Simulator(workload.program, config=CoreConfig.scaled(),
                         technique=technique, max_instructions=4000,
                         name="gap.bfs")
@@ -487,21 +499,21 @@ class TestCodeCacheCompiledMaps:
                                   frontend)
         return result.to_dict(), core
 
-    def test_restored_cache_recompiles(self):
+    def test_restored_cache_recompiles(self, monkeypatch):
         # A restored cache starts with empty compiled maps; a core run on
         # it re-attaches its timing and stream blocks from the
-        # process-wide pools without compiling, and matches the scalar
+        # process-wide pool without compiling, and matches the scalar
         # reference run from the same image.
         sim, program = self._warm_cache()
         image = sim.core.code_cache.state_dict()
         # Blocks span the whole restored text from the first visit on,
-        # so fill the pools with them once.
+        # so fill the pool with them once.
         self._run_restored(program, image)
-        pools = (len(timingblock._POOL), len(streamblock._POOL))
+        compiles = _spy_compiles(monkeypatch)
         fast, core = self._run_restored(program, image)
         assert core.timingblock_instructions > 0
         assert core.streamblock_instructions > 0
-        assert (len(timingblock._POOL), len(streamblock._POOL)) == pools
+        assert compiles == []
         with _all_layers_scalar():
             slow, slow_core = self._run_restored(program, image)
         assert slow_core.timingblock_instructions == 0
@@ -510,18 +522,25 @@ class TestCodeCacheCompiledMaps:
 
 
 # ---------------------------------------------------------------------------
-# Artifact sharing: pure compiled blocks are reused, never rebuilt.
+# The code pool: compiled block code is reused across simulators and
+# programs, keyed by content, and bounded.
 # ---------------------------------------------------------------------------
 
-class TestArtifactReuse:
-    def test_shared_superblock_cache_is_per_program(self):
-        program = _program(["addi t0, t0, 1", "addi t1, t1, 2"])
-        emu1, emu2 = Emulator(program), Emulator(program)
-        assert emu1.superblocks is emu2.superblocks
-        other = _program(["addi t2, t2, 3"])
-        assert Emulator(other).superblocks is not emu1.superblocks
+def _gap_bfs(technique, seed=1):
+    """A fresh tiny gap.bfs program run to exit."""
+    program = build_workload("gap.bfs", scale="tiny", seed=seed,
+                             check=False).program
+    sim = Simulator(program, config=CoreConfig.scaled(),
+                    technique=technique, name="gap.bfs")
+    return _result_dict(sim), sim
 
-    def test_timing_and_stream_pools_reused_across_simulators(self):
+
+class TestArtifactReuse:
+    def test_one_pool_for_every_layer(self):
+        assert superblock._POOL is timingblock._POOL is streamblock._POOL
+
+    def test_timing_and_stream_pools_reused_across_simulators(
+            self, monkeypatch):
         workload = build_workload("gap.bfs", scale="tiny", check=False)
 
         def run():
@@ -533,12 +552,94 @@ class TestArtifactReuse:
             return sim
 
         run()
-        timing_pool = len(timingblock._POOL)
-        stream_pool = len(streamblock._POOL)
+        compiles = _spy_compiles(monkeypatch)
         sim = run()
-        # Same program + config: the second simulator compiles nothing
-        # new, yet still runs through compiled blocks.
-        assert len(timingblock._POOL) == timing_pool
-        assert len(streamblock._POOL) == stream_pool
+        # Same program + config: the second simulator compiles nothing,
+        # yet still runs through compiled blocks.
+        assert compiles == []
         assert sim.core.timingblock_instructions > 0
         assert sim.core.streamblock_instructions > 0
+
+    @pytest.mark.parametrize("technique,layers", (
+        ("conv", {"<superblock", "<timingblock", "<streamblock",
+                  "<wpitems"}),
+        ("wpemul", {"<superblock", "<superblock-wp", "<timingblock",
+                    "<streamblock"})), ids=("conv", "wpemul"))
+    def test_second_program_compiles_nothing(self, technique, layers,
+                                             monkeypatch):
+        # Every layer's code outlives the Program it was compiled for:
+        # a fresh build of the same workload renders and compiles
+        # nothing, and simulates exactly as the first build did.
+        monkeypatch.setattr(superblock, "_POOL", {})
+        compiles = _spy_compiles(monkeypatch)
+        first, _ = _gap_bfs(technique)
+        assert {label.split(":")[0] for label, _ in compiles} == layers
+        del compiles[:]
+        second, sim = _gap_bfs(technique)
+        assert compiles == []
+        assert sim.frontend.superblock_instructions > 0
+        assert second == first
+
+    def test_signed_zero_immediates_get_their_own_code(self):
+        # 0.0 == -0.0 and the two hash alike, but they render to
+        # different literals: each program must store its own bits.
+        def stored(value):
+            from repro.functional.frontend import FunctionalFrontend
+            program = _program([f"fli ft0, {value}", "fsw ft0, 0(s0)"])
+            fe = FunctionalFrontend(program)
+            while len(fe.produce_batch(16)) == 16:
+                pass
+            assert fe.superblock_instructions > 0
+            return fe.emulator.memory.load_word(program.symbol("buf"))
+
+        with _eager_thresholds():
+            assert stored("0.0") == 0x00000000
+            assert stored("-0.0") == 0x80000000
+
+    @pytest.mark.parametrize("technique", ("conv", "wpemul"))
+    def test_seeds_never_share_functional_code(self, technique,
+                                               monkeypatch):
+        # Seeds 1 and 2 of gap.bfs differ only in ten li immediates (data
+        # addresses): back to back, each must simulate as it does alone
+        # on an empty pool.
+        alone = {}
+        for seed in (1, 2):
+            monkeypatch.setattr(superblock, "_POOL", {})
+            alone[seed], _ = _gap_bfs(technique, seed)
+        assert alone[1] != alone[2]
+        monkeypatch.setattr(superblock, "_POOL", {})
+        for seed in (1, 2):
+            assert _gap_bfs(technique, seed)[0] == alone[seed]
+
+    def test_eviction_drops_least_recently_used(self, monkeypatch):
+        monkeypatch.setattr(superblock, "_POOL", {})
+        monkeypatch.setattr(superblock, "POOL_LIMIT", 3)
+        rendered = []
+
+        def fetch(key):
+            def render():
+                rendered.append(key)
+                return "def run():\n    return %r\n" % key
+            return superblock._compile_block(key, render, [], "<t>", {})
+
+        for key in ("a", "b", "c"):
+            fetch(key)
+        assert fetch("a")() == "a"  # a hit: a is now the most recent
+        assert rendered == ["a", "b", "c"]
+        fetch("d")
+        assert list(superblock._POOL) == ["c", "a", "d"]
+        fetch("b")
+        assert rendered == ["a", "b", "c", "d", "b"]
+        assert list(superblock._POOL) == ["a", "d", "b"]
+
+    def test_small_bound_holds_and_changes_nothing(self, monkeypatch):
+        reference, _ = _gap_bfs("wpemul")
+        limit = 16
+        monkeypatch.setattr(superblock, "_POOL", {})
+        monkeypatch.setattr(superblock, "POOL_LIMIT", limit)
+        compiles = _spy_compiles(monkeypatch)
+        bounded, _ = _gap_bfs("wpemul")
+        assert len(compiles) > limit  # the run evicted
+        assert max(size for _, size in compiles) <= limit
+        assert len(superblock._POOL) == limit
+        assert bounded == reference

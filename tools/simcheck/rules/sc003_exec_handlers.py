@@ -1,6 +1,6 @@
 """SC003 — exec-handler safety for the generated instruction handlers.
 
-The tree has exactly two sanctioned ``exec`` sites:
+The tree has exactly two sanctioned ``compile``/``exec`` sites:
 
 * ``repro.functional.emulator._build_handlers`` renders per-opcode
   ALU/branch handler source from string templates (``{expr}``/``{test}``
@@ -30,9 +30,12 @@ auditable, so this rule:
   name/call/attribute whitelist (``BLOCK_PROFILES``) — a template the
   profile cannot account for is a violation, as is a profiled table
   that has gone missing or non-literal;
-* flags any ``exec``/``eval`` call outside the two sanctioned sites
-  anywhere in ``src/repro/`` — new exec sites need their own audit
-  story before they can exist;
+* flags any ``exec``/``eval``/``compile`` call outside the two
+  sanctioned sites anywhere in ``src/repro/`` — new exec sites need
+  their own audit story before they can exist, and a bare ``compile()``
+  is one too (``types.FunctionType`` runs its code object with no
+  ``exec``); ``re.compile`` and other attribute calls are not builtins
+  and pass;
 * flags substitutions it cannot resolve to a constant (an unverifiable
   template is treated as a violation, not a pass).
 """
@@ -440,8 +443,8 @@ def _substitutions(func: ast.FunctionDef, templates: dict,
 class ExecHandlerRule:
     id = "SC003"
     title = ("exec-handler safety: generated handler and block "
-             "templates pass an AST whitelist; no exec/eval outside "
-             "the sanctioned sites")
+             "templates pass an AST whitelist; no exec/eval/compile "
+             "outside the sanctioned sites")
     severity = "error"
 
     def check(self, src, project):
@@ -470,7 +473,7 @@ class ExecHandlerRule:
         for node in ast.walk(src.tree):
             if isinstance(node, ast.Call) and \
                     isinstance(node.func, ast.Name) and \
-                    node.func.id in ("exec", "eval"):
+                    node.func.id in ("exec", "eval", "compile"):
                 if not any(lo <= node.lineno <= hi
                            for lo, hi in sanctioned_spans):
                     yield src.finding(
