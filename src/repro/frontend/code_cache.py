@@ -9,25 +9,21 @@ wrong-path reconstruction models look up wrong-path addresses here.  If a
 lookup misses, reconstruction stops and the model falls back to halting fetch
 (the default mispredict behaviour).
 
-The cache is unbounded by default — the paper's code cache is as large as the
-set of static instructions seen so far, which is tiny compared to data.  A
-bounded mode (``capacity``) with FIFO eviction is provided for studying
-cold-start sensitivity.
+The cache is unbounded — the paper's code cache is as large as the set of
+static instructions seen so far, which is tiny compared to data.
 
 Reconstruction walks the same straight-line runs of code over and over (every
 mispredict window re-reads the loop bodies around the branch), so the cache
 additionally memoizes *blocks*: maximal single-entry instruction runs ending
 at the first control instruction, syscall, or missing address.  A block is a
-pure function of the cache contents, so the memo is flushed whenever an
-insert changes them (new pc, or a FIFO eviction) — which keeps block replay
-bit-identical to an instruction-by-instruction walk while skipping the
-per-pc lookups.
+pure function of the cache contents, so the memo is flushed whenever the
+insert of a new pc changes them — which keeps block replay bit-identical to
+an instruction-by-instruction walk while skipping the per-pc lookups.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.isa.instructions import INSTRUCTION_SIZE, Instruction
 
@@ -53,11 +49,8 @@ class CodeCache:
     SNAPSHOT_EXCLUDE = ("_blocks", "_artifacts", "_timing",
                         "_timing_warm", "_wpstream", "_wpstream_warm")
 
-    def __init__(self, capacity: Optional[int] = None):
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be >= 1 (or None for unbounded)")
-        self.capacity = capacity
-        self._entries: "OrderedDict[int, Instruction]" = OrderedDict()
+    def __init__(self):
+        self._entries: Dict[int, Instruction] = {}
         # start pc -> (instructions, stop reason); flushed on any mutation.
         self._blocks: dict = {}
         # Compiled artifacts attached to memoized blocks (see
@@ -86,10 +79,8 @@ class CodeCache:
         if instr.pc in entries:
             return
         entries[instr.pc] = instr
-        if self.capacity is not None and len(entries) > self.capacity:
-            entries.popitem(last=False)
         # Contents changed: every memoized block is suspect (a former miss
-        # may now continue; an evicted pc may now stop a run short).
+        # may now continue).
         self._blocks.clear()
         self._artifacts.clear()
         self._timing.clear()
@@ -156,7 +147,7 @@ class CodeCache:
 
         ``compiler(instrs, stop)`` builds the artifact once per memoized
         block (it may return None for an empty run); invalidation
-        (insert/eviction flushes ``_blocks``) drops it with the block,
+        (an insert flushes ``_blocks``) drops it with the block,
         and the next call re-attaches it from the shared block pool
         unless the contents actually changed.  Snapshot restore
         (:meth:`load_state`) drops it too — compiled state never
@@ -182,19 +173,16 @@ class CodeCache:
     # -- warm-state capture/restore -----------------------------------------------
 
     def state_dict(self) -> dict:
-        """Cached pcs in insertion order (FIFO eviction makes order part
-        of the state).  Decode info is *not* serialized — restore rebuilds
-        it from the program's static instructions."""
+        """Cached pcs in insertion order.  Decode info is *not*
+        serialized — restore rebuilds it from the program's static
+        instructions."""
         return {"pcs": list(self._entries)}
 
     def load_state(self, state: dict, pc_index) -> None:
         """Restore from a pc list, resolving decode info via ``pc_index``
         (a pc -> :class:`Instruction` mapping, e.g. ``program.pc_index``)."""
-        pcs = state["pcs"]
-        if self.capacity is not None and len(pcs) > self.capacity:
-            raise ValueError("code-cache image larger than capacity")
-        entries = OrderedDict()
-        for pc in pcs:
+        entries = {}
+        for pc in state["pcs"]:
             instr = pc_index.get(pc)
             if instr is None:
                 raise ValueError(

@@ -18,6 +18,8 @@ preserved in async form:
   ``"abandoned"`` (the attempt may still succeed on retry),
 * a killed/crashed worker (``BrokenProcessPool``) replaces the pool and
   retries within the budget — client connections never drop,
+* other jobs' attempts still queued in a replaced pool move to the new
+  pool with their attempt counts unchanged,
 * ``retries`` extra attempts per job, then a ``"failed"`` outcome.
 
 Outcomes are plain dicts in the wire shape (``status``/``cached``/
@@ -33,7 +35,7 @@ import asyncio
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.engine.executor import _execute_payload
 from repro.engine.job import job_to_transport
@@ -172,40 +174,30 @@ class Scheduler:
         attempt = 0
         for attempt in range(1, self.retries + 2):
             try:
-                future = self._submit_to_pool(job)
+                future, wrapped = await self._dispatch(job)
             except OSError as exc:
                 error = f"cannot create worker pool: {exc}"
                 continue
-            wrapped = asyncio.wrap_future(future)
+            if not wrapped.done():
+                error = f"timeout after {self.timeout:.1f}s"
+                wrapped.add_done_callback(_consume)
+                if not future.cancel():
+                    # The worker is still executing the expired attempt
+                    # and would hold its slot forever: replace the pool,
+                    # as the embedded engine's executor does.
+                    abandoned.append(await self._abandon(job, attempt, start))
+                    self._replace_pool()
+                continue
             try:
-                if self.timeout is not None:
-                    done, _ = await asyncio.wait({wrapped},
-                                                 timeout=self.timeout)
-                    if not done:
-                        error = f"timeout after {self.timeout:.1f}s"
-                        wrapped.add_done_callback(_consume)
-                        if not future.cancel():
-                            # The worker is still executing the expired
-                            # attempt and would hold its slot forever:
-                            # replace the pool (PR-2 semantics).
-                            abandoned.append(
-                                await self._abandon(job, attempt, start))
-                            self._replace_pool()
-                        continue
-                    # The future is in `done`: await resolves
-                    # immediately, without .result()'s blocking API.
-                    payload = await wrapped
-                else:
-                    payload = await wrapped
+                # The future is done: await resolves immediately,
+                # without .result()'s blocking API.
+                payload = await wrapped
             except BrokenProcessPool:
                 # A worker died mid-attempt (OOM-kill, crash).  The pool
                 # is unusable; replace it and retry within the budget.
                 error = "worker process died (BrokenProcessPool)"
                 self._replace_pool()
                 continue
-            except asyncio.CancelledError:
-                future.cancel()
-                raise
             except Exception as exc:  # noqa: BLE001 — job is the fault unit
                 error = f"{type(exc).__name__}: {exc}"
                 continue
@@ -227,6 +219,28 @@ class Scheduler:
                                 error=error, abandoned=abandoned)
         await self._journal(job, outcome)
         return outcome
+
+    async def _dispatch(self, job: Any) -> "Tuple[Future, asyncio.Future]":
+        """Submit one attempt and wait for it, up to the timeout.
+
+        Returns the pool future and its asyncio wrapper, which is done
+        unless the attempt timed out.  ``asyncio.wait`` hands back a
+        wrapper that was cancelled under it instead of raising, so a
+        ``CancelledError`` here is always this task's own.  A cancelled
+        wrapper means a pool replacement (for another job's stuck or
+        dead worker) cancelled the attempt while it was still queued:
+        it never ran, so it goes to the new pool as the same attempt.
+        """
+        while True:
+            future = self._submit_to_pool(job)
+            wrapped = asyncio.wrap_future(future)
+            try:
+                await asyncio.wait({wrapped}, timeout=self.timeout)
+            except asyncio.CancelledError:
+                future.cancel()
+                raise
+            if not wrapped.cancelled():
+                return future, wrapped
 
     # -- pool plumbing -----------------------------------------------------------
 

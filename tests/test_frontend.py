@@ -115,15 +115,3 @@ class TestCodeCache:
         cache.insert(self.instr_at(0x1000))
         cache.insert(self.instr_at(0x1000))
         assert len(cache) == 1
-
-    def test_bounded_capacity_evicts_fifo(self):
-        cache = CodeCache(capacity=2)
-        cache.insert(self.instr_at(0x1000))
-        cache.insert(self.instr_at(0x1004))
-        cache.insert(self.instr_at(0x1008))
-        assert 0x1000 not in cache
-        assert 0x1004 in cache and 0x1008 in cache
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            CodeCache(capacity=0)

@@ -88,20 +88,28 @@ class TestProtocol:
 
 class ScriptedScheduler(Scheduler):
     """Scheduler whose 'pool' plays back a list of behaviours (one per
-    submit) and whose pool replacement is a counter bump — no real
-    worker processes involved."""
+    submit) — no real worker processes involved.  Pool replacement
+    cancels every future the old 'pool' handed out, as
+    ``shutdown(cancel_futures=True)`` does: queued ones are cancelled,
+    finished and running ones are not."""
 
     def __init__(self, script, **kwargs):
         super().__init__(**kwargs)
         self.script = list(script)
         self.calls = 0
+        self.handed_out = []
 
     def _submit_to_pool(self, job):
         self.calls += 1
-        return self.script.pop(0)(job)
+        future = self.script.pop(0)(job)
+        self.handed_out.append(future)
+        return future
 
     def _replace_pool(self):
         self.counters["pool_replacements"] += 1
+        for future in self.handed_out:
+            future.cancel()
+        self.handed_out = []
 
 
 def ok_after(payload, delay=0.0):
@@ -188,6 +196,24 @@ class TestScheduler:
             return sched, await sched.submit(JOB)
         sched, out = asyncio.run(go())
         assert out["status"] == "ok" and out["attempts"] == 2
+        assert sched.counters["pool_replacements"] == 1
+
+    def test_replacement_requeues_another_jobs_queued_attempt(self):
+        # JOB's worker dies, and replacing the pool cancels JOB2's
+        # attempt, still queued in it.  That attempt never ran: it goes
+        # to the new pool as the same attempt, and JOB2's submit returns
+        # an outcome instead of raising CancelledError.
+        async def go():
+            sched = ScriptedScheduler([broken, pending, ok_after(PAYLOAD),
+                                       ok_after(PAYLOAD)], retries=1)
+            outs = await asyncio.gather(sched.submit(JOB),
+                                        sched.submit(JOB2))
+            return sched, outs
+        sched, (first, second) = asyncio.run(go())
+        assert first["status"] == "ok" and first["attempts"] == 2
+        assert second["status"] == "ok" and second["attempts"] == 1
+        assert second["result"] == PAYLOAD
+        assert sched.calls == 4
         assert sched.counters["pool_replacements"] == 1
 
     def test_budget_exhaustion_fails_the_job(self):

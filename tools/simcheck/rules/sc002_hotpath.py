@@ -5,8 +5,9 @@ pipeline — ``FunctionalFrontend.produce_batch``, ``RunaheadQueue.prepare``,
 ``OoOCore.process_batch``, ``OoOCore._handle_mispredict`` — pays for
 observability with **one** ``_obs is None`` test per batch-level call and
 does no logging, formatting, or avoidable allocation inside its loops.
-The CI throughput-smoke job measures the consequence; this rule pins the
-cause.  A marked function may not:
+CI's perf-ab job (``tools/perf_ab.py``, a paired perfbench run against the
+parent commit) measures the consequence; this rule pins the cause.  A
+marked function may not:
 
 * test ``_obs`` (or a local bound from ``self._obs``) against ``None``
   more than once,
