@@ -11,9 +11,9 @@ silently: a cache is allowed to hold foreign/stale entries, and the
 harvester's contract is "every label it returns is real", not "it
 returns every blob".
 
-Harvesting reads blobs directly off disk rather than through
-:meth:`ResultStore.get_blob` so a training pass never perturbs the
-store's LRU recency order.
+Harvesting reads blobs with :meth:`ResultStore.read_blob` rather than
+:meth:`ResultStore.get_blob`, so a training pass never perturbs the
+store's LRU recency order and never reads through to other roots.
 
 :func:`split` is the seeded holdout partition the differential
 guardrail tests and ``repro surrogate train --holdout`` evaluate on.
@@ -70,19 +70,6 @@ class LabeledPoint:
     def __repr__(self) -> str:
         return (f"<LabeledPoint {self.workload}/{self.technique} "
                 f"ipc={self.ipc:.4f} [{self.key[:12]}]>")
-
-
-def _read_blob(store: ResultStore, key: str) -> Optional[dict]:
-    """One blob straight off disk — no index touch, no read-through."""
-    for path in (store.path_for(key), store.flat_path_for(key)):
-        try:
-            with open(path) as fh:
-                blob = json.load(fh)
-        except (OSError, ValueError):
-            continue
-        if isinstance(blob, dict) and blob.get("key") == key:
-            return blob
-    return None
 
 
 def _point_from_blob(blob: dict,
@@ -150,7 +137,7 @@ def harvest(store: ResultStore,
     for key in iter_store_keys(store):
         if key in points:
             continue
-        blob = _read_blob(store, key)
+        blob = store.read_blob(key)
         if blob is None:
             continue
         point = _point_from_blob(blob, known)

@@ -213,12 +213,9 @@ class FeaturePipeline:
         cache_key = (workload, scale, seed)
         stats = self._program_stats.get(cache_key)
         if stats is None:
-            from repro.workloads import build_workload
-            kwargs = {"scale": scale, "check": False}
-            if seed is not None:
-                kwargs["seed"] = seed
+            from repro.engine.job import build_job_workload
             stats = program_statistics(
-                build_workload(workload, **kwargs).program)
+                build_job_workload(workload, scale, seed).program)
             self._program_stats[cache_key] = stats
         return stats
 

@@ -19,14 +19,12 @@ from the key.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import time
 from typing import Dict, List, Optional
 
 from repro.analysis.surrogate.model import SurrogateModel
 from repro.analysis.surrogate.predict import Prediction, predict_jobs
-from repro.engine.job import SimJob, code_fingerprint
+from repro.engine.job import SimJob, content_key
 
 
 class PredictBatch:
@@ -123,10 +121,7 @@ class PredictJob:
 
     @property
     def key(self) -> str:
-        payload = {"spec": self.spec(), "code": code_fingerprint()}
-        canonical = json.dumps(payload, sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        return content_key(self.spec())
 
     @property
     def label(self) -> str:

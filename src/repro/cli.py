@@ -56,7 +56,7 @@ import sys
 import time
 from typing import List, Optional
 
-from repro import CoreConfig, Simulator, compare_techniques
+from repro import Simulator, compare_techniques
 from repro.analysis.report import percent, render_table
 from repro.simulator.simulation import ALL_TECHNIQUES, TECHNIQUES
 from repro.workloads import build_workload, workload_names
@@ -140,11 +140,9 @@ def _warn_abandoned(engine) -> bool:
 
 
 def _build(args) -> tuple:
-    kwargs = {"scale": args.scale, "check": False}
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    workload = build_workload(args.workload, **kwargs)
-    config = CoreConfig() if args.full_config else CoreConfig.scaled()
+    from repro.engine.job import build_job_workload, resolve_config
+    workload = build_job_workload(args.workload, args.scale, args.seed)
+    config = resolve_config("full" if args.full_config else "scaled")
     return workload, config
 
 
@@ -494,27 +492,20 @@ def cmd_cache(args) -> int:
             ("entries", stats["entries"]),
             ("bytes", f"{stats['bytes']} ({_human_bytes(stats['bytes'])})"),
             ("shards used", f"{stats['shards_used']}/{stats['shards_max']}"),
-            ("flat (unmigrated) entries", stats["flat_entries"]),
             ("indexed entries", stats["indexed"]),
             ("read-through roots",
              ", ".join(stats["read_roots"]) or "-"),
         ]
         print(render_table("result cache", ["metric", "value"], rows))
         return 0
-    if args.action == "gc":
-        if args.max_bytes is None:
-            print("error: cache gc needs --max-bytes N", file=sys.stderr)
-            return 1
-        summary = store.gc(args.max_bytes)
-        print(f"evicted {summary['evicted']} entries "
-              f"({_human_bytes(summary['freed_bytes'])}); "
-              f"kept {summary['kept']} "
-              f"({_human_bytes(summary['bytes'])})")
-        return 0
-    # migrate: pull legacy flat blobs into their hash-prefix shards.
-    moved = store.migrate_flat()
-    print(f"migrated {moved} flat entries into shards under "
-          f"{store.root}")
+    if args.max_bytes is None:
+        print("error: cache gc needs --max-bytes N", file=sys.stderr)
+        return 1
+    summary = store.gc(args.max_bytes)
+    print(f"evicted {summary['evicted']} entries "
+          f"({_human_bytes(summary['freed_bytes'])}); "
+          f"kept {summary['kept']} "
+          f"({_human_bytes(summary['bytes'])})")
     return 0
 
 
@@ -1075,15 +1066,13 @@ def make_parser() -> argparse.ArgumentParser:
     cache = sub.add_parser(
         "cache",
         help="inspect or garbage-collect a result store "
-             "(stats / gc --max-bytes N / migrate)",
+             "(stats / gc --max-bytes N)",
         description="Operate on a content-addressed result cache "
-                    "directly on disk, whether laid out flat (legacy) "
-                    "or sharded into hash-prefix directories. 'stats' "
-                    "reports entries, bytes and shard fill; 'gc' evicts "
-                    "least-recently-used entries (per the store index) "
-                    "down to a byte budget; 'migrate' moves legacy flat "
-                    "blobs into their shards.")
-    cache.add_argument("action", choices=("stats", "gc", "migrate"))
+                    "directly on disk. 'stats' reports entries, bytes "
+                    "and shard fill; 'gc' evicts least-recently-used "
+                    "entries (per the store index) down to a byte "
+                    "budget.")
+    cache.add_argument("action", choices=("stats", "gc"))
     cache.add_argument("--max-bytes", type=int, default=None,
                        metavar="N",
                        help="gc: evict LRU entries until the store "

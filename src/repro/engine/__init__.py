@@ -16,7 +16,10 @@ bit-identically — any source change invalidates the whole cache
 automatically.  Non-semantic knobs (currently only
 :attr:`~SimJob.trace_dir`, the observability trace destination) are
 excluded from the key: they change what gets written beside the run,
-never the result.
+never the result.  Every job kind with a ``spec()`` derives its key the
+same way (:func:`~repro.engine.job.content_key`), and only such kinds
+are cached (:func:`~repro.engine.job.cacheable`): ``sim``, ``sample``
+and ``predict`` jobs, never ``fuzz`` cases.
 
 **Store** (store.py).  :class:`ResultStore` maps job keys to
 ``SimulationResult.to_dict()`` JSON blobs under ``.repro-cache/``

@@ -36,7 +36,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, List, Optional, Sequence
 
-from repro.engine.job import job_from_transport, job_to_transport
+from repro.engine.job import cacheable, job_from_transport, job_to_transport
 from repro.engine.journal import RunJournal
 from repro.engine.store import ResultStore
 
@@ -123,7 +123,8 @@ class ExperimentEngine:
 
         ``fresh=True`` skips cache *reads* (every job simulates) but
         still records results to the store, so a fresh run refreshes the
-        cache rather than forking from it.
+        cache rather than forking from it.  Only :func:`cacheable` jobs
+        touch the store at all.
         """
         jobs = list(jobs)
         self.abandoned = []
@@ -133,7 +134,7 @@ class ExperimentEngine:
         for idx, job in enumerate(jobs):
             start = time.perf_counter()
             result = None
-            if not fresh and self.store is not None:
+            if not fresh and self.store is not None and cacheable(job):
                 result = self.store.get(job)
             if result is not None:
                 outcomes[idx] = JobOutcome(
@@ -328,7 +329,7 @@ class ExperimentEngine:
     # -- plumbing ----------------------------------------------------------------
 
     def _store(self, job: Any, result: Any) -> None:
-        if self.store is not None:
+        if self.store is not None and cacheable(job):
             self.store.put(job, result)
 
     def _journal(self, outcome: JobOutcome) -> None:

@@ -8,6 +8,13 @@ source tree.  Two jobs with the same hash are guaranteed to produce
 bit-identical stats (a tested invariant, see ``tests/test_engine.py``),
 which is what lets the result store skip re-simulation and the executor
 ship jobs to worker processes as plain dicts.
+
+This module is the one home of the result cache's contract for every
+job kind: the key bytes (:func:`content_key`, pinned by
+``tests/test_job_keys.py``), what is cached (:func:`cacheable`), the
+config and workload a job's fields name (:func:`resolve_config`,
+:func:`build_job_workload`) and the key-partition check
+(:func:`_assert_key_partition`).
 """
 
 from __future__ import annotations
@@ -31,9 +38,13 @@ BASE_CONFIGS = ("scaled", "full")
 #: class provides ``kind`` (a bare class attribute matching its registry
 #: entry), ``to_dict``/``from_dict``, ``run`` (returning a result with a
 #: ``to_dict``), a ``result_from_dict`` staticmethod, ``key`` and
-#: ``label``.  Populate through :func:`register_job_kind`, never by
-#: mutating the dict: duplicate registration must fail loudly, or two
-#: subsystems would silently fight over one transport tag.
+#: ``label``.  A kind that also defines ``spec()`` is cached (see
+#: :func:`cacheable`): its ``key`` is ``content_key(self.spec())`` and it
+#: declares ``KEYED_FIELDS``/``KEY_EXCLUDED_FIELDS`` for
+#: :func:`_assert_key_partition`.  Populate through
+#: :func:`register_job_kind`, never by mutating the dict: duplicate
+#: registration must fail loudly, or two subsystems would silently
+#: fight over one transport tag.
 JOB_KINDS: Dict[str, Tuple[str, str]] = {}
 
 
@@ -83,23 +94,6 @@ def job_from_transport(data: dict):
     """Rebuild a live job from :func:`job_to_transport` output."""
     return job_class(data["kind"]).from_dict(data["job"])
 
-#: :class:`SimJob` fields folded into the content hash: every one of
-#: these is reachable from :meth:`SimJob.spec`, so two jobs differing in
-#: any of them get different keys.  simcheck rule SC004 verifies the
-#: reachability statically; :func:`_assert_key_partition` re-checks the
-#: partition at import time.
-KEYED_FIELDS = frozenset({
-    "workload", "technique", "scale", "seed", "max_instructions",
-    "base_config", "config_overrides",
-})
-
-#: Fields deliberately NOT part of the hash.  Only side-effect-free
-#: run options belong here: an excluded field must be provably unable
-#: to change the simulated result (``trace_dir`` set the precedent —
-#: a traced and an untraced run are bit-identical and must share a
-#: cache entry).
-KEY_EXCLUDED_FIELDS = frozenset({"trace_dir"})
-
 _CODE_FINGERPRINT: Optional[str] = None
 
 
@@ -135,6 +129,57 @@ def code_fingerprint() -> str:
     return _CODE_FINGERPRINT
 
 
+def content_key(spec: dict) -> str:
+    """The key a cached job's result is stored under: SHA-256 over the
+    canonical JSON of ``spec`` plus :func:`code_fingerprint`.  Every
+    kind's ``key`` property returns ``content_key(self.spec())``."""
+    payload = {"spec": spec, "code": code_fingerprint()}
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def cacheable(job) -> bool:
+    """Whether ``job``'s result is read from and written to a result
+    store: iff its kind defines ``spec()``, the hash basis simcheck rule
+    SC004 checks.  Other kinds (fuzz cases) have no key over the code
+    version, so a stored outcome could outlive the code that produced
+    it.  A cached kind's key partition is checked on every call, so no
+    job reaches a store under a key that misses one of its fields."""
+    if not hasattr(type(job), "spec"):
+        return False
+    _assert_key_partition(type(job))
+    return True
+
+
+def check_base_config(base_config: str) -> None:
+    """Raise ``ValueError`` unless ``base_config`` is one of
+    :data:`BASE_CONFIGS`; job kinds call it at construction."""
+    if base_config not in BASE_CONFIGS:
+        raise ValueError(f"unknown base_config {base_config!r}; "
+                         f"choose from {BASE_CONFIGS}")
+
+
+def resolve_config(base_config: str,
+                   overrides: Optional[Dict] = None) -> CoreConfig:
+    """The :class:`CoreConfig` a job simulates: the ``base_config``
+    preset with ``overrides`` applied."""
+    check_base_config(base_config)
+    overrides = overrides or {}
+    if base_config == "full":
+        return CoreConfig().copy(**overrides)
+    return CoreConfig.scaled(**overrides)
+
+
+def build_job_workload(workload: str, scale: str, seed: Optional[int]):
+    """Build the registry workload a job names, unchecked, with the
+    workload's default data seed unless ``seed`` is set."""
+    from repro.workloads import build_workload
+    kwargs = {"scale": scale, "check": False}
+    if seed is not None:
+        kwargs["seed"] = seed
+    return build_workload(workload, **kwargs)
+
+
 @dataclasses.dataclass
 class SimJob:
     """One (workload × technique × config) simulation, as plain data."""
@@ -143,6 +188,22 @@ class SimJob:
     #: attribute, not a dataclass field, so it stays out of the cache-key
     #: partition and of ``to_dict``.
     kind = "sim"
+
+    #: Fields folded into the content hash: every one of these is
+    #: reachable from :meth:`spec`, so two jobs differing in any of them
+    #: get different keys.  simcheck rule SC004 verifies the
+    #: reachability statically; :func:`_assert_key_partition` re-checks
+    #: the partition at import time.
+    KEYED_FIELDS = frozenset({
+        "workload", "technique", "scale", "seed", "max_instructions",
+        "base_config", "config_overrides",
+    })
+    #: Fields deliberately NOT part of the hash.  Only side-effect-free
+    #: run options belong here: an excluded field must be provably
+    #: unable to change the simulated result (``trace_dir`` set the
+    #: precedent — a traced and an untraced run are bit-identical and
+    #: must share a cache entry).
+    KEY_EXCLUDED_FIELDS = frozenset({"trace_dir"})
 
     workload: str                       # full registry name, e.g. "gap.bfs"
     technique: str = "conv"
@@ -159,19 +220,14 @@ class SimJob:
     trace_dir: Optional[str] = None
 
     def __post_init__(self):
-        if self.base_config not in BASE_CONFIGS:
-            raise ValueError(
-                f"unknown base_config {self.base_config!r}; "
-                f"choose from {BASE_CONFIGS}")
+        check_base_config(self.base_config)
         self.config_overrides = dict(self.config_overrides)
 
     # -- identity ----------------------------------------------------------------
 
     def config(self) -> CoreConfig:
         """The fully resolved core configuration this job simulates."""
-        if self.base_config == "full":
-            return CoreConfig().copy(**self.config_overrides)
-        return CoreConfig.scaled(**self.config_overrides)
+        return resolve_config(self.base_config, self.config_overrides)
 
     def spec(self) -> dict:
         """The job's input parameters (hash basis, minus code version)."""
@@ -188,9 +244,7 @@ class SimJob:
     @property
     def key(self) -> str:
         """Content hash: SHA-256 of the canonical spec + code version."""
-        payload = {"spec": self.spec(), "code": code_fingerprint()}
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        return content_key(self.spec())
 
     @property
     def label(self) -> str:
@@ -232,13 +286,9 @@ class SimJob:
         :attr:`trace_dir` set, the run writes an episode trace labeled
         after the job (``gap.bfs/conv`` -> ``gap.bfs-conv``)."""
         from repro.simulator.simulation import Simulator
-        from repro.workloads import build_workload
         config = self.config()
         config.validate()
-        kwargs = {"scale": self.scale, "check": False}
-        if self.seed is not None:
-            kwargs["seed"] = self.seed
-        workload = build_workload(self.workload, **kwargs)
+        workload = build_job_workload(self.workload, self.scale, self.seed)
         obs = None
         if self.trace_dir is not None:
             from repro.obs import Observability
@@ -254,19 +304,23 @@ class SimJob:
 
 
 def _assert_key_partition(cls=SimJob) -> None:
-    """Fail at import time if a :class:`SimJob` field is neither keyed
-    nor explicitly excluded.
+    """Raise if a field of the cached job kind ``cls`` is neither in its
+    ``KEYED_FIELDS`` nor in its ``KEY_EXCLUDED_FIELDS``.
 
     A field that silently misses the SHA-256 key would make distinct
     jobs share a cache entry — the result store would then serve wrong
     results with no error anywhere downstream.  Raising here turns that
     silent corruption into a loud failure the moment someone adds a
     field without deciding which side of the partition it lives on
-    (the static mirror of this check is simcheck rule SC004).
+    (the static mirror of this check is simcheck rule SC004).  It runs
+    for :class:`SimJob` when this module is imported, and for every
+    kind with ``spec()`` whenever :func:`cacheable` admits one of its
+    jobs.
     """
     fields = {f.name for f in dataclasses.fields(cls)}
-    declared = KEYED_FIELDS | KEY_EXCLUDED_FIELDS
-    overlap = KEYED_FIELDS & KEY_EXCLUDED_FIELDS
+    keyed, excluded = cls.KEYED_FIELDS, cls.KEY_EXCLUDED_FIELDS
+    declared = keyed | excluded
+    overlap = keyed & excluded
     if fields != declared or overlap:
         problems = []
         for name in sorted(fields - declared):

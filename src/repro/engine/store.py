@@ -15,7 +15,7 @@ reproduce the stored result exactly.  Writes are atomic
 (temp-file + ``os.replace``) so a crashed or parallel run never leaves a
 truncated blob; unreadable blobs are treated as misses and overwritten.
 
-Three mechanisms keep a long-lived, multi-client cache healthy:
+Two mechanisms keep a long-lived, multi-client cache healthy:
 
 * **Index + eviction.**  Every put/hit appends one record to
   ``index.jsonl`` (single-``write()`` ``O_APPEND``, safe under
@@ -32,11 +32,11 @@ Three mechanisms keep a long-lived, multi-client cache healthy:
   are copied into the primary root ("localized") so repeated reads stay
   local; the extra roots are never written otherwise.
 
-* **Flat-layout migration.**  Early caches stored blobs flat at the
-  root (``<key>.json`` beside the journal).  Flat blobs still read as
-  hits and are migrated into their shard on first touch;
-  :meth:`ResultStore.migrate_flat` (``repro cache migrate``) moves the
-  rest in one pass.
+The sharded tree is the only layout.  A ``<key>.json`` lying directly
+in the root (written before the store was sharded) is never read,
+counted or deleted by the store; its key embeds a code fingerprint no
+current tree computes, so it can never hit, and it can be deleted by
+hand.
 """
 
 from __future__ import annotations
@@ -160,12 +160,11 @@ class ResultStore:
                            if os.path.abspath(p) != self.root]
         self.index = StoreIndex(os.path.join(self.root, "index.jsonl"))
 
-    def path_for(self, key: str) -> str:
-        return os.path.join(self.root, key[:SHARD_PREFIX], f"{key}.json")
-
-    def flat_path_for(self, key: str) -> str:
-        """Legacy pre-sharding location: the blob right at the root."""
-        return os.path.join(self.root, f"{key}.json")
+    def path_for(self, key: str, root: Optional[str] = None) -> str:
+        """Where ``key``'s blob lives under ``root`` (default: the
+        primary root)."""
+        return os.path.join(root or self.root, key[:SHARD_PREFIX],
+                            f"{key}.json")
 
     @property
     def journal_path(self) -> str:
@@ -174,27 +173,21 @@ class ResultStore:
     # -- read --------------------------------------------------------------------
 
     def contains(self, job: SimJob) -> bool:
-        return self._locate(job.key) is not None
+        return os.path.exists(self.path_for(job.key))
 
-    def _locate(self, key: str) -> Optional[str]:
-        """Path of ``key``'s blob in the primary root (sharded or
-        legacy-flat), or None."""
-        path = self.path_for(key)
-        if os.path.exists(path):
-            return path
-        flat = self.flat_path_for(key)
-        if os.path.exists(flat):
-            return flat
-        return None
-
-    @staticmethod
-    def _read_blob(path: str, key: str) -> Optional[dict]:
+    def read_blob(self, key: str, root: Optional[str] = None
+                  ) -> Optional[dict]:
+        """The blob stored under ``key`` in ``root`` (default: the
+        primary root), or None when it is missing, unreadable or not a
+        blob for ``key``.  It neither touches the index nor reads
+        through to other roots, so a caller that walks the store (the
+        surrogate's label harvest) leaves its recency order alone."""
         try:
-            with open(path) as fh:
+            with open(self.path_for(key, root)) as fh:
                 blob = json.load(fh)
         except (OSError, ValueError):
             return None
-        if blob.get("key") != key:
+        if not isinstance(blob, dict) or blob.get("key") != key:
             return None
         return blob
 
@@ -203,28 +196,18 @@ class ResultStore:
 
         Misses in the primary root read through ``read_roots``; a
         read-through hit is copied ("localized") into the primary root.
-        A legacy flat blob is migrated into its shard on the way out.
         Every hit appends a recency touch to the index.
         """
         key = job.key
-        path = self._locate(key)
-        if path is not None:
-            blob = self._read_blob(path, key)
-            if blob is not None:
-                if path == self.flat_path_for(key):
-                    self._migrate_one(key)
-                self.index.touch(key)
-                return blob
+        blob = self.read_blob(key)
+        if blob is not None:
+            self.index.touch(key)
+            return blob
         for root in self.read_roots:
-            for candidate in (
-                    os.path.join(root, key[:SHARD_PREFIX], f"{key}.json"),
-                    os.path.join(root, f"{key}.json")):
-                if not os.path.exists(candidate):
-                    continue
-                blob = self._read_blob(candidate, key)
-                if blob is not None:
-                    self._write_blob(key, blob)   # localize + index
-                    return blob
+            blob = self.read_blob(key, root)
+            if blob is not None:
+                self._write_blob(key, blob)   # localize + index
+                return blob
         return None
 
     def get(self, job: SimJob) -> Optional[SimulationResult]:
@@ -281,41 +264,41 @@ class ResultStore:
 
     # -- maintenance -------------------------------------------------------------
 
+    def _unlink(self, key: str) -> bool:
+        """Delete ``key``'s blob; True if it existed."""
+        try:
+            os.unlink(self.path_for(key))
+        except OSError:
+            return False
+        return True
+
     def invalidate(self, job: SimJob) -> bool:
         """Drop one entry; True if it existed."""
-        dropped = False
-        for path in (self.path_for(job.key),
-                     self.flat_path_for(job.key)):
-            try:
-                os.unlink(path)
-                dropped = True
-            except OSError:
-                pass
+        dropped = self._unlink(job.key)
         if dropped:
             self.index.drop(job.key)
         return dropped
 
-    def keys(self) -> Iterator[str]:
+    def _shards(self) -> List[str]:
+        """The shard directory names present under the root."""
         if not os.path.isdir(self.root):
-            return
-        for name in sorted(os.listdir(self.root)):
-            path = os.path.join(self.root, name)
-            if len(name) == SHARD_PREFIX and os.path.isdir(path):
-                for entry in sorted(os.listdir(path)):
-                    if entry.endswith(".json") and _is_key(entry[:-5]):
-                        yield entry[:-5]
-            elif name.endswith(".json") and _is_key(name[:-5]):
-                yield name[:-5]     # legacy flat blob
+            return []
+        return [name for name in sorted(os.listdir(self.root))
+                if len(name) == SHARD_PREFIX and
+                os.path.isdir(os.path.join(self.root, name))]
+
+    def keys(self) -> Iterator[str]:
+        for shard in self._shards():
+            for entry in sorted(os.listdir(os.path.join(self.root, shard))):
+                if entry.endswith(".json") and _is_key(entry[:-5]):
+                    yield entry[:-5]
 
     def _scan(self) -> Dict[str, int]:
-        """``key -> bytes`` for every blob on disk (flat or sharded)."""
+        """``key -> bytes`` for every blob on disk."""
         sizes: Dict[str, int] = {}
         for key in self.keys():
-            path = self._locate(key)
-            if path is None:
-                continue
             try:
-                sizes[key] = os.path.getsize(path)
+                sizes[key] = os.path.getsize(self.path_for(key))
             except OSError:
                 continue
         return sizes
@@ -323,23 +306,13 @@ class ResultStore:
     def stats(self) -> dict:
         """Entry/byte/shard-fill counters for ``repro cache stats``."""
         sizes = self._scan()
-        shards = 0
-        flat = 0
-        if os.path.isdir(self.root):
-            for name in sorted(os.listdir(self.root)):
-                if len(name) == SHARD_PREFIX and \
-                        os.path.isdir(os.path.join(self.root, name)):
-                    shards += 1
-                elif name.endswith(".json") and _is_key(name[:-5]):
-                    flat += 1
         indexed = self.index.load()
         return {
             "root": self.root,
             "entries": len(sizes),
             "bytes": sum(sizes.values()),
-            "shards_used": shards,
+            "shards_used": len(self._shards()),
             "shards_max": 16 ** SHARD_PREFIX,
-            "flat_entries": flat,
             "indexed": sum(1 for k in indexed if k in sizes),
             "read_roots": list(self.read_roots),
         }
@@ -368,11 +341,7 @@ class ResultStore:
         for key, nbytes in order:
             if total - freed <= max_bytes:
                 break
-            for path in (self.path_for(key), self.flat_path_for(key)):
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
+            self._unlink(key)
             surviving.pop(key, None)
             evicted += 1
             freed += nbytes
@@ -388,39 +357,9 @@ class ResultStore:
         self.index.rewrite({key: sizes[key] for key in sorted(sizes)})
         return len(sizes)
 
-    def migrate_flat(self) -> int:
-        """Move every legacy flat blob into its shard; returns the
-        number migrated."""
-        moved = 0
-        if not os.path.isdir(self.root):
-            return moved
-        for name in sorted(os.listdir(self.root)):
-            if name.endswith(".json") and _is_key(name[:-5]):
-                if self._migrate_one(name[:-5]):
-                    moved += 1
-        return moved
-
-    def _migrate_one(self, key: str) -> bool:
-        flat = self.flat_path_for(key)
-        path = self.path_for(key)
-        try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            os.replace(flat, path)
-        except OSError:
-            return False
-        self.index.put(key, os.path.getsize(path))
-        return True
-
     def clear(self) -> int:
         """Drop every entry (the journal is kept); returns count."""
-        dropped = 0
-        for key in list(self.keys()):
-            for path in (self.path_for(key), self.flat_path_for(key)):
-                try:
-                    os.unlink(path)
-                    dropped += 1
-                except OSError:
-                    pass
+        dropped = sum(self._unlink(key) for key in list(self.keys()))
         self.index.rewrite({})
         return dropped
 

@@ -172,9 +172,10 @@ class FuzzCaseJob:
     """Engine adapter: one case as an executor job (``kind="fuzz"``).
 
     Deliberately has no ``spec()`` method and no content key over a
-    result cache — fuzz cases are one-shot by design, so the engine is
-    constructed with ``store=None`` and :attr:`key` only identifies the
-    case in journals.
+    result cache — fuzz cases are one-shot by design, so no store reads
+    or writes them (:func:`repro.engine.job.cacheable`), even behind a
+    store-backed engine or daemon, and :attr:`key` only identifies the
+    case in journals and in the daemon's in-flight dedupe.
     """
 
     kind = "fuzz"

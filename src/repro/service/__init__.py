@@ -18,7 +18,9 @@ Clients submit jobs in the executor's transport form
 *unique* job key.  N clients submitting the same key while it is in
 flight all await the same execution (journaled once as ``"ok"``, the
 attachments as ``"shared"``); store hits short-circuit without touching
-the pool.  Execution dispatches through the same
+the pool.  Only jobs whose kind defines ``spec()`` use the store
+(:func:`~repro.engine.job.cacheable`, the embedded engine's rule).
+Execution dispatches through the same
 ``JOB_KINDS``/process-pool worker entry the embedded engine uses, with
 the PR-2 failure semantics preserved: per-attempt timeout, pool
 replacement when a stuck worker cannot be cancelled (journaled

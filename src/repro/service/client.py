@@ -140,9 +140,6 @@ class ServiceClient:
         return self._one({"op": "cache", "action": "gc",
                           "max_bytes": max_bytes})["stats"]
 
-    def cache_migrate(self) -> Dict[str, Any]:
-        return self._one({"op": "cache", "action": "migrate"})["stats"]
-
     def shutdown(self) -> None:
         """Ask the daemon to exit; the connection dies with it."""
         try:
@@ -165,20 +162,17 @@ class ServiceClient:
     def run(self, jobs: Sequence[Any],
             fresh: bool = False) -> List[JobOutcome]:
         """Submit ``jobs``; outcomes come back in input order, shaped
-        exactly like :meth:`ExperimentEngine.run` outcomes.  The store
-        flag follows the job kinds: content-addressed ``sim`` and
-        ``sample`` jobs read/write the daemon's result cache (fuzz
-        cases are one-shot by design, matching the embedded runner's
-        storeless engine)."""
+        exactly like :meth:`ExperimentEngine.run` outcomes.  The daemon
+        decides per job whether its store is used, by the same
+        :func:`~repro.engine.job.cacheable` rule as the embedded
+        engine."""
         jobs = list(jobs)
         self.abandoned = []
         if not jobs:
             return []
-        use_store = all(getattr(job, "kind", None) in ("sim", "sample")
-                        for job in jobs)
         request = {"op": "submit",
                    "jobs": [job_to_transport(job) for job in jobs],
-                   "fresh": bool(fresh), "store": use_store}
+                   "fresh": bool(fresh)}
         outcomes: List[Optional[JobOutcome]] = [None] * len(jobs)
         for event in self._request(request):
             kind = event.get("event")

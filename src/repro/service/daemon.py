@@ -333,12 +333,9 @@ class ServiceDaemon:
         action = message["action"]
         if action == "stats":
             stats = await asyncio.to_thread(store.stats)
-        elif action == "gc":
+        else:   # gc
             stats = await asyncio.to_thread(store.gc,
                                             message["max_bytes"])
-        else:   # migrate
-            stats = {"migrated": await asyncio.to_thread(
-                store.migrate_flat)}
         return {"event": "cache", "id": rid, "action": action,
                 "stats": stats}
 

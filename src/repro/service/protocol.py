@@ -30,6 +30,10 @@ Responses / events (daemon -> client)::
     {"event": "journal", "record": {...}}               # subscribed only
     {"event": "error", "id": 3, "message": "..."}
 
+A submit's ``store`` field (default true) lets a request run
+storeless; with it true, the daemon's store serves and keeps only jobs
+whose kind defines ``spec()`` (:func:`repro.engine.job.cacheable`).
+
 ``job`` events stream in *completion* order; ``seq`` is the job's index
 in the submitted list, so clients reassemble input order.  ``status``
 mirrors the journal vocabulary: ``hit`` (served from the store), ``ok``
@@ -106,10 +110,9 @@ def validate_request(message: Dict[str, Any]) -> Dict[str, Any]:
             raise ProtocolError("'store' must be a boolean")
     elif op == "cache":
         action = message.get("action")
-        if action not in ("stats", "gc", "migrate"):
+        if action not in ("stats", "gc"):
             raise ProtocolError(
-                f"unknown cache action {action!r}; expected "
-                f"stats, gc or migrate")
+                f"unknown cache action {action!r}; expected stats or gc")
         if action == "gc" and \
                 not isinstance(message.get("max_bytes"), int):
             raise ProtocolError("cache gc needs an integer 'max_bytes'")

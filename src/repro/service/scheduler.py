@@ -38,7 +38,7 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.engine.executor import _execute_payload
-from repro.engine.job import job_to_transport
+from repro.engine.job import cacheable, job_to_transport
 from repro.engine.journal import RunJournal
 from repro.engine.store import ResultStore
 
@@ -82,12 +82,14 @@ class Scheduler:
                      use_store: bool = True) -> dict:
         """Resolve one job: store hit, attach to an in-flight twin, or
         execute.  Always returns an outcome dict, never raises for
-        job-level failures."""
+        job-level failures.  The store is read and written only for
+        :func:`~repro.engine.job.cacheable` jobs, and not at all when
+        ``use_store`` is false."""
         self.counters["submitted"] += 1
         start = time.perf_counter()
-        store = self.store if use_store else None
+        store = self.store if use_store and cacheable(job) else None
         if store is not None and not fresh:
-            payload = await asyncio.to_thread(self._lookup, job)
+            payload = await asyncio.to_thread(store.get_payload, job)
             if payload is not None:
                 self.counters["hits"] += 1
                 outcome = self._outcome(job, "hit", payload, cached=True,
@@ -283,18 +285,6 @@ class Scheduler:
         return event
 
     # -- store / journal ---------------------------------------------------------
-
-    def _lookup(self, job: Any) -> Optional[dict]:
-        """Blocking store read (runs in a thread).  Only job kinds with
-        a content-addressed result cache resolve here; the store's
-        ``get_payload`` validates nothing beyond blob shape — the result
-        is served exactly as stored, which is what keeps daemon results
-        digest-identical to embedded ones."""
-        store = self.store
-        if store is None:
-            return None
-        getter = getattr(store, "get_payload", None)
-        return getter(job) if getter is not None else None
 
     @staticmethod
     def _outcome(job: Any, status: str, payload: Optional[dict], *,

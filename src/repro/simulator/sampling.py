@@ -478,17 +478,6 @@ def _run_interval(program: Program, cfg: CoreConfig, technique: str,
                                 snapshot.position, length, stats, wall)
 
 
-#: :class:`SampleIntervalJob` cache-key partition (simcheck SC004 +
-#: engine discipline): every field determines the simulated outcome, so
-#: everything is keyed — the snapshot via its content digest.
-SAMPLE_KEYED_FIELDS = frozenset({
-    "workload", "technique", "scale", "seed", "base_config",
-    "config_overrides", "index", "length", "snapshot",
-})
-
-SAMPLE_KEY_EXCLUDED_FIELDS = frozenset(())
-
-
 @dataclasses.dataclass
 class SampleIntervalJob:
     """One detailed interval as an executor job (``kind="sample"``).
@@ -501,6 +490,9 @@ class SampleIntervalJob:
 
     kind = "sample"
 
+    #: Cache-key partition (simcheck SC004): every field determines the
+    #: simulated outcome, so everything is keyed — the snapshot via its
+    #: content digest.
     KEYED_FIELDS = frozenset({
         "workload", "technique", "scale", "seed", "base_config",
         "config_overrides", "index", "length", "snapshot",
@@ -518,14 +510,15 @@ class SampleIntervalJob:
     snapshot: Dict = dataclasses.field(default_factory=dict)
 
     def __post_init__(self):
+        from repro.engine.job import check_base_config
+        check_base_config(self.base_config)
         self.config_overrides = dict(self.config_overrides)
 
     def config(self) -> CoreConfig:
         """The fully resolved core configuration (same presets as
         :class:`~repro.engine.job.SimJob`)."""
-        if self.base_config == "full":
-            return CoreConfig().copy(**self.config_overrides)
-        return CoreConfig.scaled(**self.config_overrides)
+        from repro.engine.job import resolve_config
+        return resolve_config(self.base_config, self.config_overrides)
 
     def spec(self) -> dict:
         """Hash basis: parameters plus the snapshot's content digest."""
@@ -546,11 +539,8 @@ class SampleIntervalJob:
 
     @property
     def key(self) -> str:
-        from repro.engine.job import code_fingerprint
-        payload = {"spec": self.spec(), "code": code_fingerprint()}
-        canonical = json.dumps(payload, sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        from repro.engine.job import content_key
+        return content_key(self.spec())
 
     @property
     def label(self) -> str:
@@ -578,38 +568,16 @@ class SampleIntervalJob:
         return SampleIntervalResult.from_dict(payload)
 
     def run(self) -> SampleIntervalResult:
-        from repro.workloads import build_workload
+        from repro.engine.job import build_job_workload
         cfg = self.config()
         cfg.validate()
-        kwargs = {"scale": self.scale, "check": False}
-        if self.seed is not None:
-            kwargs["seed"] = self.seed
-        workload = build_workload(self.workload, **kwargs)
+        workload = build_job_workload(self.workload, self.scale, self.seed)
         snap = SimSnapshot.from_dict(self.snapshot)
         return _run_interval(workload.program, cfg, self.technique, snap,
                              self.length, workload=workload.name)
 
     def __repr__(self) -> str:
         return f"<SampleIntervalJob {self.label} [{self.key[:12]}]>"
-
-
-def _assert_sample_key_partition() -> None:
-    """Import-time mirror of simcheck SC004 for the sample-job kind."""
-    fields = {f.name for f in dataclasses.fields(SampleIntervalJob)}
-    declared = SAMPLE_KEYED_FIELDS | SAMPLE_KEY_EXCLUDED_FIELDS
-    if fields != declared or (SAMPLE_KEYED_FIELDS
-                              & SAMPLE_KEY_EXCLUDED_FIELDS):
-        raise RuntimeError(
-            "SampleIntervalJob cache-key partition is stale: fields "
-            f"{sorted(fields ^ declared)} are undeclared or spurious")
-    if SampleIntervalJob.KEYED_FIELDS != SAMPLE_KEYED_FIELDS or \
-            SampleIntervalJob.KEY_EXCLUDED_FIELDS \
-            != SAMPLE_KEY_EXCLUDED_FIELDS:
-        raise RuntimeError(
-            "SampleIntervalJob class/module key declarations diverge")
-
-
-_assert_sample_key_partition()
 
 
 def _aggregate(name: str, technique: str,
@@ -674,19 +642,12 @@ def sample_workload(workload: str, technique: str = "nowp",
     """
     if technique not in TECHNIQUES:
         raise ValueError(f"unknown technique {technique!r}")
-    from repro.workloads import build_workload
+    from repro.engine.job import build_job_workload, resolve_config
     overrides = dict(config_overrides or {})
-    probe = SampleIntervalJob(workload=workload, technique=technique,
-                              scale=scale, seed=seed,
-                              base_config=base_config,
-                              config_overrides=overrides)
-    cfg = probe.config()
+    cfg = resolve_config(base_config, overrides)
     cfg.validate()
     start = time.perf_counter()
-    kwargs = {"scale": scale, "check": False}
-    if seed is not None:
-        kwargs["seed"] = seed
-    built = build_workload(workload, **kwargs)
+    built = build_job_workload(workload, scale, seed)
     plan = functional_pass(built.program, cfg,
                            detail_length=detail_length,
                            fastforward_length=fastforward_length,

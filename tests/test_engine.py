@@ -71,12 +71,12 @@ class TestSimJob:
     def test_key_partition_declared(self):
         import dataclasses as dc
 
-        from repro.engine.job import (KEY_EXCLUDED_FIELDS, KEYED_FIELDS,
-                                      _assert_key_partition)
+        from repro.engine.job import _assert_key_partition
+        keyed, excluded = SimJob.KEYED_FIELDS, SimJob.KEY_EXCLUDED_FIELDS
         fields = {f.name for f in dc.fields(SimJob)}
-        assert KEYED_FIELDS | KEY_EXCLUDED_FIELDS == fields
-        assert not KEYED_FIELDS & KEY_EXCLUDED_FIELDS
-        assert "trace_dir" in KEY_EXCLUDED_FIELDS
+        assert keyed | excluded == fields
+        assert not keyed & excluded
+        assert "trace_dir" in excluded
         _assert_key_partition()  # must not raise on the real class
 
     def test_key_partition_catches_new_field(self):
@@ -235,6 +235,33 @@ class TestJobKinds:
         wire = json.dumps(job_to_transport(JOB), sort_keys=True)
         assert job_from_transport(json.loads(wire)).key == JOB.key
 
+    def test_every_cached_kind_declares_its_key_partition(self):
+        from repro.engine.job import (JOB_KINDS, _assert_key_partition,
+                                      job_class)
+        cached = [kind for kind in sorted(JOB_KINDS)
+                  if hasattr(job_class(kind), "spec")]
+        assert cached == ["predict", "sample", "sim"]
+        for kind in cached:
+            _assert_key_partition(job_class(kind))
+
+    def test_cacheable_checks_the_partition(self):
+        # A kind with spec() and a field outside its partition never
+        # reaches a store: the cacheability gate raises instead.
+        import dataclasses as dc
+
+        from repro.engine.job import cacheable
+        from repro.fuzz import make_case
+        from repro.fuzz.oracle import FuzzCaseJob
+
+        @dc.dataclass
+        class Rogue(SimJob):
+            extra_knob: int = 0
+
+        assert cacheable(JOB)
+        assert not cacheable(FuzzCaseJob(make_case(1, 0)))
+        with pytest.raises(RuntimeError, match="extra_knob"):
+            cacheable(Rogue(workload="gap.bfs"))
+
     def test_fuzz_job_round_trips_too(self):
         from repro.engine import job_from_transport, job_to_transport
         from repro.fuzz import make_case
@@ -294,6 +321,19 @@ class TestEngineSerial:
         assert second.result.to_dict() == first.result.to_dict()
         statuses = [e["status"] for e in engine.journal.entries()]
         assert statuses == ["ok", "hit"]
+
+    def test_fuzz_cases_bypass_the_store(self, tmp_path):
+        # A fuzz case has no spec(), so no key over the code version: a
+        # store-backed engine executes it every time and stores nothing.
+        from repro.fuzz import make_case
+        from repro.fuzz.oracle import FuzzCaseJob
+        engine = ExperimentEngine(store=ResultStore(str(tmp_path)), jobs=1)
+        job = FuzzCaseJob(make_case(1, 0))
+        first = engine.run_one(job)
+        second = engine.run_one(job)
+        assert first.status == "ok" and second.status == "ok"
+        assert second.attempts == 1 and not second.cached
+        assert len(engine.store) == 0
 
     def test_fresh_skips_read_but_writes(self, tmp_path):
         engine = ExperimentEngine(store=ResultStore(str(tmp_path)), jobs=1)

@@ -215,6 +215,13 @@ class TestSampleIntervalJob:
         assert clone.to_dict() == job.to_dict()
         assert clone.key == job.key
 
+    def test_unknown_base_config_rejected(self):
+        # As for SimJob: an unknown preset would otherwise simulate the
+        # scaled config under a key of its own.
+        from repro.simulator.sampling import SampleIntervalJob
+        with pytest.raises(ValueError, match="base_config"):
+            SampleIntervalJob(workload="gap.bfs", base_config="bogus")
+
     def test_key_covers_snapshot_state(self):
         """Two interval jobs differing only in prefix state must never
         share a cache entry."""

@@ -188,6 +188,22 @@ class TestScheduler:
         assert sched.calls == 1 and out["status"] == "ok"
         assert store.get_payload(JOB) == PAYLOAD
 
+    def test_fuzz_cases_bypass_the_store(self, tmp_path):
+        # use_store=True still leaves kinds without spec() uncached.
+        from repro.fuzz import make_case
+        from repro.fuzz.oracle import FuzzCaseJob
+        store = ResultStore(str(tmp_path))
+        job = FuzzCaseJob(make_case(1, 0))
+        async def go():
+            sched = ScriptedScheduler([ok_after(PAYLOAD)] * 2, store=store)
+            first = await sched.submit(job, use_store=True)
+            second = await sched.submit(job, use_store=True)
+            return sched, first, second
+        sched, first, second = asyncio.run(go())
+        assert sched.calls == 2
+        assert first["status"] == "ok" and second["status"] == "ok"
+        assert len(store) == 0
+
     def test_broken_pool_is_replaced_and_retried(self, tmp_path):
         journal = RunJournal(str(tmp_path / "j.jsonl"))
         async def go():
@@ -328,6 +344,21 @@ def live_result():
     return JOB.run()
 
 
+def _predict_job():
+    """A predict batch over a ridge model fit to three made-up
+    labels (no simulation needed)."""
+    from repro.analysis.surrogate import (LabeledPoint, PredictJob,
+                                          SurrogateModel)
+    jobs = [SimJob(workload="gap.bfs", technique=technique, scale="tiny",
+                   max_instructions=6000)
+            for technique in ("nowp", "conv", "wpemul")]
+    points = [LabeledPoint(key=job.key, job_dict=job.to_dict(),
+                           ipc=1.0 + 0.1 * i)
+              for i, job in enumerate(jobs)]
+    model = SurrogateModel.train(points, seed=0, kind="ridge")
+    return PredictJob.for_jobs(model, jobs)
+
+
 class TestDaemon:
     def test_ping_and_status(self, daemon):
         with ServiceClient(daemon.socket_path) as client:
@@ -424,9 +455,23 @@ class TestDaemon:
         with ServiceClient(daemon.socket_path) as client:
             client.run_one(JOB)
             assert client.cache_stats()["entries"] == 1
-            assert client.cache_migrate() == {"migrated": 0}
+            # The store has one layout, so there is nothing to migrate.
+            with pytest.raises(ServiceError,
+                               match="unknown cache action 'migrate'"):
+                client._one({"op": "cache", "action": "migrate"})
             summary = client.cache_gc(0)
             assert summary["evicted"] == 1 and summary["kept"] == 0
+
+    def test_predict_batch_hits_on_repeat(self, daemon):
+        # The daemon caches every kind with spec(), as the embedded
+        # engine does; predict batches included.
+        job = _predict_job()
+        with ServiceClient(daemon.socket_path) as client:
+            first = client.run_one(job)
+            second = client.run_one(job)
+        assert first.status == "ok" and not first.cached
+        assert second.status == "hit" and second.cached
+        assert second.result.to_dict() == first.result.to_dict()
 
     def test_subscriber_streams_journal_records(self, daemon):
         sub = ServiceClient(daemon.socket_path, io_timeout=30.0)

@@ -1,9 +1,10 @@
 """Tests for the sharded result store: the recency index, LRU garbage
-collection, read-through roots, legacy flat-layout migration, and the
-``repro cache`` CLI over both layouts."""
+collection, read-through roots, the one blob reader, and the
+``repro cache`` CLI."""
 
 import json
 import os
+import re
 
 import pytest
 
@@ -16,16 +17,25 @@ K2 = "b" * 64
 K3 = "ab" + "c" * 62
 
 
+def plant_root_level_blob(store, key):
+    """A well-formed blob at ``<root>/<key>.json``, where caches put
+    blobs before the store was sharded; the store must ignore it."""
+    path = os.path.join(store.root, f"{key}.json")
+    os.makedirs(store.root, exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump({"key": key, "job": {}, "result": {"ipc": 1.0}}, fh)
+    return path
+
+
 def fake_job(workload="gap.bfs", seed=0, cap=8000):
     return SimJob(workload=workload, technique="conv", scale="tiny",
                   seed=seed, max_instructions=cap)
 
 
-def plant_blob(store, key, payload=None, flat=False):
+def plant_blob(store, key, payload=None):
     """Write a well-formed blob for ``key`` directly (no simulation),
-    optionally in the legacy flat location, bypassing the index."""
-    path = (store.flat_path_for(key) if flat
-            else store.path_for(key))
+    bypassing the index."""
+    path = store.path_for(key)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     blob = {"key": key, "job": {}, "result": payload or {"ipc": 1.0}}
     with open(path, "w") as fh:
@@ -167,8 +177,21 @@ class TestShardedLayout:
         assert stats["bytes"] > 0
         assert stats["shards_max"] == 256
         assert 1 <= stats["shards_used"] <= 2
-        assert stats["flat_entries"] == 0
         assert stats["indexed"] == 2
+
+    def test_root_level_blob_is_ignored(self, tmp_path):
+        # A <key>.json directly in the root (the layout before sharding)
+        # is no entry: never read, counted, evicted or cleared.
+        store = ResultStore(str(tmp_path))
+        job = fake_job()
+        leftover = plant_root_level_blob(store, job.key)
+        assert store.get_payload(job) is None
+        assert not store.contains(job)
+        assert list(store.keys()) == []
+        assert store.stats()["entries"] == 0
+        store.gc(max_bytes=0)
+        store.clear()
+        assert os.path.exists(leftover)
 
 
 class TestGC:
@@ -213,14 +236,6 @@ class TestGC:
         assert store.get_payload(job) is not None
         assert not os.path.exists(store.path_for(K1))
 
-    def test_gc_works_on_flat_layout(self, tmp_path):
-        store = ResultStore(str(tmp_path))
-        plant_blob(store, K1, flat=True)
-        plant_blob(store, K2, flat=True)
-        summary = store.gc(max_bytes=0)
-        assert summary["evicted"] == 2
-        assert len(store) == 0
-
     def test_reindex_recovers_lost_index(self, tmp_path):
         store = ResultStore(str(tmp_path))
         for s in (1, 2):
@@ -241,14 +256,6 @@ class TestReadThrough:
         # Localized: a second read no longer needs the warm root.
         alone = ResultStore(str(tmp_path / "local"), read_roots=[])
         assert alone.get_payload(job) == {"x": 42}
-
-    def test_read_root_flat_blob_resolves(self, tmp_path):
-        warm = ResultStore(str(tmp_path / "warm"))
-        job = fake_job()
-        plant_blob(warm, job.key, payload={"x": 7}, flat=True)
-        local = ResultStore(str(tmp_path / "local"),
-                            read_roots=[str(tmp_path / "warm")])
-        assert local.get_payload(job) == {"x": 7}
 
     def test_read_roots_never_written(self, tmp_path):
         warm = ResultStore(str(tmp_path / "warm"))
@@ -271,46 +278,53 @@ class TestReadThrough:
         assert store.read_roots == []
 
 
-class TestFlatMigration:
-    def test_flat_blob_reads_as_hit_and_migrates(self, tmp_path):
-        store = ResultStore(str(tmp_path))
-        job = fake_job()
-        plant_blob(store, job.key, payload={"x": 5}, flat=True)
-        assert store.get_payload(job) == {"x": 5}
-        assert not os.path.exists(store.flat_path_for(job.key))
-        assert os.path.exists(store.path_for(job.key))
-        assert job.key in store.index.load()
+class TestReadBlob:
+    def test_read_blob_touches_neither_index_nor_read_roots(self,
+                                                            tmp_path):
+        # The surrogate harvest's contract: reading a blob leaves the
+        # recency order alone and never reads through.
+        warm = ResultStore(str(tmp_path / "warm"))
+        plant_blob(warm, K3, payload={"x": 3})
+        store = ResultStore(str(tmp_path / "local"),
+                            read_roots=[str(tmp_path / "warm")])
+        plant_blob(store, K1, payload={"x": 1})
+        plant_blob(store, K2, payload={"x": 2})
+        store.reindex()
+        assert store.read_blob(K1)["result"] == {"x": 1}
+        assert list(store.index.load()) == [K1, K2]
+        assert store.read_blob(K3) is None
+        assert not os.path.exists(store.path_for(K3))
 
-    def test_bulk_migrate(self, tmp_path):
+    @pytest.mark.parametrize("content", ["{not json", "[1, 2]",
+                                         json.dumps({"key": K2})])
+    def test_bad_blob_reads_as_none(self, tmp_path, content):
         store = ResultStore(str(tmp_path))
-        plant_blob(store, K1, flat=True)
-        plant_blob(store, K2, flat=True)
-        assert store.migrate_flat() == 2
-        assert store.stats()["flat_entries"] == 0
-        assert sorted(store.keys()) == sorted([K1, K2])
-
-    def test_migrate_on_empty_store(self, tmp_path):
-        assert ResultStore(str(tmp_path / "absent")).migrate_flat() == 0
+        path = plant_blob(store, K1)
+        with open(path, "w") as fh:
+            fh.write(content)
+        assert store.read_blob(K1) is None
 
 
 class TestMixedLayoutOps:
     def test_len_keys_count_both_layouts(self, tmp_path):
         store = ResultStore(str(tmp_path))
-        plant_blob(store, K1, flat=True)
+        plant_blob(store, K1)
         plant_blob(store, K3)
         assert len(store) == 2
         assert sorted(store.keys()) == sorted([K1, K3])
 
     def test_invalidate_flat_blob(self, tmp_path):
+        # A root-level blob is not the job's entry: invalidate has
+        # nothing to drop and leaves the file alone.
         store = ResultStore(str(tmp_path))
         job = fake_job()
-        plant_blob(store, job.key, flat=True)
-        assert store.invalidate(job)
-        assert store.get_payload(job) is None
+        leftover = plant_root_level_blob(store, job.key)
+        assert not store.invalidate(job)
+        assert os.path.exists(leftover)
 
     def test_clear_drops_both_layouts(self, tmp_path):
         store = ResultStore(str(tmp_path))
-        plant_blob(store, K1, flat=True)
+        plant_blob(store, K1)
         plant_blob(store, K2)
         assert store.clear() == 2
         assert len(store) == 0
@@ -337,19 +351,19 @@ class TestCacheCLI:
         assert "evicted 1" in capsys.readouterr().out
         assert len(store) == 0
 
-    def test_migrate(self, tmp_path, capsys):
-        store = ResultStore(str(tmp_path))
-        plant_blob(store, K1, flat=True)
-        assert main(["cache", "migrate",
-                     "--cache-dir", str(tmp_path)]) == 0
-        assert "migrated 1" in capsys.readouterr().out
+    def test_migrate(self, tmp_path):
+        # The store has one layout, so the action is gone.
+        with pytest.raises(SystemExit):
+            main(["cache", "migrate", "--cache-dir", str(tmp_path)])
 
     def test_stats_on_flat_layout(self, tmp_path, capsys):
         store = ResultStore(str(tmp_path))
-        plant_blob(store, K1, flat=True)
+        plant_root_level_blob(store, K1)
         assert main(["cache", "stats",
                      "--cache-dir", str(tmp_path)]) == 0
-        assert "1" in capsys.readouterr().out
+        # A root-level blob is no entry.
+        out = capsys.readouterr().out
+        assert re.search(r"^entries +0$", out, re.MULTILINE)
 
 
 class TestEngineIntegration:

@@ -18,8 +18,12 @@ hash basis) and requires the partition to be *declared*:
 * no excluded field may be reachable from ``spec`` — an excluded field
   feeding the hash is as wrong as a keyed field missing it.
 
-``src/repro/engine/job.py`` mirrors the same partition at import time
-(`_assert_key_partition`), so the invariant holds for dynamically added
+The same criterion decides what is cached at all: a job kind's results
+go to the result store iff it defines ``spec()``
+(``repro.engine.job.cacheable``).  ``src/repro/engine/job.py`` mirrors
+the partition at run time for every such kind (`_assert_key_partition`:
+``SimJob`` at import, and every kind whenever ``cacheable`` admits one
+of its jobs to a store), so the invariant holds for dynamically added
 fields too; this rule makes it a lint-time failure with a file:line.
 """
 
