@@ -59,7 +59,6 @@ from typing import List, Optional
 from repro import Simulator, compare_techniques
 from repro.analysis.report import percent, render_table
 from repro.simulator.simulation import ALL_TECHNIQUES, TECHNIQUES
-from repro.workloads import build_workload, workload_names
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -147,6 +146,9 @@ def _build(args) -> tuple:
 
 
 def cmd_list(args) -> int:
+    # Imported here: the registry takes most of the CLI's import time,
+    # and no other command needs it at startup.
+    from repro.workloads import build_workload, workload_names
     rows = []
     for name in workload_names():
         workload = build_workload(name, scale="tiny", check=False)

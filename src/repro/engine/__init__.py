@@ -32,22 +32,27 @@ per finished job — status (``hit``/``ok``/``failed``/``abandoned``),
 attempts, wall time, host instructions/sec — to ``<cache>/
 journal.jsonl``.  It is the audit trail ``repro report`` summarizes.
 
-**Executor failure semantics** (executor.py).
-:class:`ExperimentEngine` resolves jobs against the store, then fans
-misses out over a ``ProcessPoolExecutor``:
+**Executor and pool attempt loop** (executor.py, scheduler.py).
+:class:`ExperimentEngine` resolves jobs against the store and runs the
+misses in-process when it has one worker or one miss; otherwise it
+runs them on a ``ProcessPoolExecutor`` through :class:`Scheduler`, the
+one loop that runs jobs on worker processes (the ``repro serve``
+daemon runs it too):
 
-* each attempt gets a wall-clock ``timeout`` (pool mode only); an
-  expired attempt whose worker cannot be cancelled forces a *pool
-  replacement* — the stuck attempt is journaled ``"abandoned"`` and
-  recorded on :attr:`ExperimentEngine.abandoned` (the CLI exits
-  nonzero on these even when the retry later succeeds),
-* failures retry up to ``retries`` extra attempts; the budget is
-  shared with the serial fallback, so pool attempts are not granted
-  again after a fallback,
-* a broken or uncreatable pool degrades to serial in-process
-  execution instead of failing the run,
-* every job always ends with a :class:`JobOutcome`; outcomes are
-  journaled in input order.
+* the pool gets at most one attempt per worker, so each attempt's
+  ``timeout`` runs from its start on a free worker; an expired attempt
+  whose worker cannot be cancelled forces a *pool replacement* and is
+  journaled ``"abandoned"`` and recorded on
+  :attr:`ExperimentEngine.abandoned` (the CLI exits nonzero on these
+  even when the retry later succeeds),
+* a dead worker (``BrokenProcessPool``) replaces the pool once, and its
+  jobs retry within ``retries`` alone on the pool: a crashing job fails
+  without taking the caller or other jobs down,
+* jobs with one key in flight run once; the twins read ``"shared"``,
+* every job ends with a journaled :class:`JobOutcome`.
+
+Only a pool that cannot be created (``OSError``) sends the misses back
+in-process.
 
 :func:`expand_grid` (grid.py) is the sweep vocabulary that builds job
 lists from workload/technique/config axes.
@@ -71,11 +76,13 @@ from repro.engine.job import (JOB_KINDS, SimJob, code_fingerprint,
                               job_class, job_from_transport,
                               job_to_transport, register_job_kind)
 from repro.engine.journal import RunJournal
+from repro.engine.scheduler import Scheduler
 from repro.engine.store import ResultStore, StoreIndex
 
 __all__ = [
-    "ExperimentEngine", "JobOutcome", "SimJob", "code_fingerprint",
-    "ResultStore", "RunJournal", "StoreIndex", "expand_grid",
+    "ExperimentEngine", "JobOutcome", "Scheduler", "SimJob",
+    "code_fingerprint", "ResultStore", "RunJournal", "StoreIndex",
+    "expand_grid",
     "parse_overrides", "resolve_techniques", "resolve_workload",
     "resolve_workloads", "JOB_KINDS", "job_class", "job_from_transport",
     "job_to_transport", "register_job_kind",

@@ -1,28 +1,24 @@
-"""Parallel executor: fan a list of :class:`SimJob` out over processes.
+"""Experiment engine: run a list of jobs against the result store.
 
 The engine resolves each job against the content-addressed store first
-(hits cost one JSON read), then fans the misses out over a
-``ProcessPoolExecutor``.  Jobs cross the process boundary as plain dicts
-and results come back as :meth:`SimulationResult.to_dict` blobs — the
-same serialized form the store uses, so parallel execution and caching
-exercise one code path and one determinism contract.
+(hits cost one JSON read).  It runs the misses in-process when it has
+one worker or one miss, and otherwise on a process pool through the
+pool attempt loop, :class:`~repro.engine.scheduler.Scheduler`, the same
+loop the ``repro serve`` daemon runs.  Jobs cross the process boundary
+as plain dicts and results come back as
+:meth:`SimulationResult.to_dict` blobs — the same serialized form the
+store uses, so parallel execution and caching exercise one code path
+and one determinism contract.
 
-Failure handling:
-
-* per-job timeout (``timeout=`` seconds per attempt, measured from the
-  attempt's actual submission; expired jobs are abandoned and retried
-  or failed — only enforceable in pool mode, since a serial in-process
-  simulation cannot be interrupted).  ``Future.cancel()`` cannot stop
-  an attempt that is already *running*, so expiring one replaces the
-  whole pool (journaled as ``status="abandoned"``) and re-submits the
-  surviving in-flight jobs with their attempt counts intact,
-* bounded retry (``retries=`` extra attempts per job, default 1) for
-  transient worker failures; the budget is shared with the serial
-  fallback path — attempts consumed in the pool are not granted again,
-* graceful degradation — if the pool cannot be created or dies
-  (``BrokenProcessPool``: OOM-killed worker, interpreter crash), the
-  unfinished jobs fall back to serial in-process execution rather than
-  failing the run.
+Failure handling is the loop's: a per-attempt ``timeout`` from the
+attempt's start on a free worker, ``retries`` extra attempts per job,
+and a pool replacement for a stuck or dead worker (see
+:mod:`repro.engine.scheduler`).  A crashing job therefore ends as a
+``"failed"`` outcome; it never runs in, or takes down, the calling
+process.  The engine adds one fallback: when a pool cannot be created
+(``OSError``), the misses run in-process, where a timeout cannot be
+enforced.  Jobs with the same key in one batch run once; the twin's
+outcome reads ``"shared"``.
 
 Every outcome — hit, fresh run, or failure — is journaled (JSONL) with
 wall time and host instructions/sec; see :mod:`repro.engine.journal`.
@@ -30,23 +26,22 @@ wall time and host instructions/sec; see :mod:`repro.engine.journal`.
 
 from __future__ import annotations
 
+import asyncio
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
-from typing import Any, List, Optional, Sequence
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from typing import Any, Coroutine, List, Optional, Sequence
 
-from repro.engine.job import cacheable, job_from_transport, job_to_transport
+from repro.engine.job import cacheable, job_from_transport
 from repro.engine.journal import RunJournal
+from repro.engine.scheduler import Scheduler
 from repro.engine.store import ResultStore
-
-# Kept as the executor's vocabulary (and the sweep daemon's): a job
-# crosses process/socket boundaries as {"kind": ..., "job": {...}}.
-_transport = job_to_transport
 
 
 def _execute_payload(payload: dict) -> dict:
-    """Worker-side entry point (module-level so it pickles)."""
+    """Worker-side entry point (module-level so it pickles): a job in
+    its transport form (:func:`~repro.engine.job.job_to_transport`) in,
+    its result's ``to_dict()`` out."""
     return job_from_transport(payload).run().to_dict()
 
 
@@ -67,10 +62,22 @@ class JobOutcome:
                  error: Optional[str] = None):
         self.job = job
         self.result = result
-        self.status = status            # "hit" | "ok" | "failed"
+        self.status = status        # "hit" | "ok" | "shared" | "failed"
         self.wall_seconds = wall_seconds
         self.attempts = attempts
         self.error = error
+
+    @classmethod
+    def from_dict(cls, job: Any, outcome: dict) -> "JobOutcome":
+        """The outcome of ``job`` from the loop's outcome dict (or the
+        daemon's ``job`` event that carries it), its result payload read
+        back through the job's kind."""
+        payload = outcome.get("result")
+        result = None if payload is None else \
+            type(job).result_from_dict(payload)
+        return cls(job, result, outcome["status"],
+                   outcome.get("wall_seconds", 0.0),
+                   outcome.get("attempts", 0), outcome.get("error"))
 
     @property
     def ok(self) -> bool:
@@ -83,6 +90,34 @@ class JobOutcome:
     def __repr__(self) -> str:
         return (f"<JobOutcome {self.job.label} {self.status} "
                 f"{self.wall_seconds:.2f}s>")
+
+
+class _EngineScheduler(Scheduler):
+    """The loop for one pool run of an engine: every pool it uses, the
+    first and each replacement, comes from the engine's ``_make_pool``."""
+
+    def __init__(self, engine: "ExperimentEngine",
+                 pool: ProcessPoolExecutor, workers: int):
+        super().__init__(store=engine.store, journal=engine.journal,
+                         workers=workers, timeout=engine.timeout,
+                         retries=engine.retries)
+        self._engine = engine
+        self._pool = pool
+
+    def _make_pool(self) -> ProcessPoolExecutor:
+        return self._engine._make_pool(self.workers)
+
+
+def _run_coroutine(coro: Coroutine[Any, Any, Any]) -> Any:
+    """``asyncio.run(coro)``, also when the calling thread already runs
+    an event loop (a notebook, say): ``coro`` then gets a loop of its
+    own on a helper thread."""
+    try:
+        asyncio.get_running_loop()
+    except RuntimeError:
+        return asyncio.run(coro)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        return helper.submit(asyncio.run, coro).result()
 
 
 class ExperimentEngine:
@@ -129,37 +164,26 @@ class ExperimentEngine:
         jobs = list(jobs)
         self.abandoned = []
         outcomes: List[Optional[JobOutcome]] = [None] * len(jobs)
-
-        pending: List[tuple] = []
+        misses: List[int] = []
         for idx, job in enumerate(jobs):
             start = time.perf_counter()
             result = None
             if not fresh and self.store is not None and cacheable(job):
                 result = self.store.get(job)
-            if result is not None:
-                outcomes[idx] = JobOutcome(
-                    job, result, "hit", time.perf_counter() - start, 0)
-            else:
-                pending.append((idx, job))
+            if result is None:
+                misses.append(idx)
+                continue
+            hit = JobOutcome(job, result, "hit",
+                             time.perf_counter() - start, 0)
+            self._journal(hit)
+            outcomes[idx] = hit
 
-        if pending:
-            if self.max_workers > 1 and len(pending) > 1:
-                leftover = self._run_pool(pending, outcomes)
-            else:
-                leftover = [(idx, job, 0) for idx, job in pending]
-            for idx, job, consumed in leftover:
-                outcomes[idx] = self._run_serial(job, consumed)
-
-        for idx, job in enumerate(jobs):
-            if outcomes[idx] is None:
-                # Defensive: a pool-path bug (e.g. pool replacement dying
-                # mid-flight) must surface as a failed outcome, not a
-                # None that crashes journaling.
-                outcomes[idx] = JobOutcome(
-                    job, None, "failed", 0.0, 0,
-                    "engine error: job finished without an outcome")
-        for outcome in outcomes:
-            self._journal(outcome)
+        pooled = None
+        if self.max_workers > 1 and len(misses) > 1:
+            pooled = self._run_on_pool([jobs[idx] for idx in misses])
+        for n, idx in enumerate(misses):
+            outcomes[idx] = pooled[n] if pooled is not None \
+                else self._run_serial(jobs[idx])
         return outcomes  # type: ignore[return-value]
 
     def run_one(self, job: Any, fresh: bool = False) -> JobOutcome:
@@ -168,8 +192,8 @@ class ExperimentEngine:
     @staticmethod
     def summarize(outcomes: Sequence[JobOutcome]) -> dict:
         """Aggregate counts the CLI and benches report.  ``"shared"``
-        outcomes (a sweep daemon coalescing this submission onto another
-        client's in-flight execution of the same key) count as
+        outcomes (a job coalesced onto an in-flight execution of the
+        same key, in one batch or from another daemon client) count as
         simulated: the work ran live, just once for everyone."""
         hits = sum(1 for o in outcomes if o.status == "hit")
         simulated = sum(1 for o in outcomes
@@ -183,27 +207,28 @@ class ExperimentEngine:
 
     # -- serial path -------------------------------------------------------------
 
-    def _run_serial(self, job: Any, consumed: int = 0) -> JobOutcome:
-        """Run ``job`` in-process.  ``consumed`` is the number of attempts
-        the job already burned in pool mode (e.g. an attempt that died with
-        a broken pool) — the retry budget is shared across both paths, so
-        serial fallback continues the count instead of restarting it."""
+    def _run_serial(self, job: Any) -> JobOutcome:
+        """Run ``job`` in-process, up to ``retries + 1`` attempts."""
         start = time.perf_counter()
-        error = "process pool failed before any serial attempt" \
-            if consumed else None
-        attempt = consumed
-        for attempt in range(consumed + 1, self.retries + 2):
+        error = None
+        attempt = 0
+        for attempt in range(1, self.retries + 2):
             try:
                 result = job.run()
             except Exception as exc:  # noqa: BLE001 — job is the fault unit
                 error = f"{type(exc).__name__}: {exc}"
                 continue
-            self._store(job, result)
-            return JobOutcome(job, result, "ok",
-                              time.perf_counter() - start, attempt)
-        return JobOutcome(job, None, "failed",
-                          time.perf_counter() - start,
-                          max(attempt, consumed), error)
+            if self.store is not None and cacheable(job):
+                self.store.put(job, result)
+            outcome = JobOutcome(job, result, "ok",
+                                 time.perf_counter() - start, attempt)
+            break
+        else:
+            outcome = JobOutcome(job, None, "failed",
+                                 time.perf_counter() - start, attempt,
+                                 error)
+        self._journal(outcome)
+        return outcome
 
     # -- pool path ---------------------------------------------------------------
 
@@ -211,126 +236,33 @@ class ExperimentEngine:
         """Pool factory; a seam for tests to substitute fakes."""
         return ProcessPoolExecutor(max_workers=workers)
 
-    def _run_pool(self, pending: List[tuple],
-                  outcomes: List[Optional[JobOutcome]]) -> List[tuple]:
-        """Run ``(idx, job)`` pairs in a process pool, filling
-        ``outcomes``.  Returns ``(idx, job, consumed_attempts)`` triples
-        that should fall back to serial execution (pool creation failed
-        or the pool broke)."""
+    def _run_on_pool(self, jobs: List[Any]) -> Optional[List[JobOutcome]]:
+        """Run ``jobs`` through the loop, which journals their outcomes,
+        on one pool of up to ``max_workers`` workers; None when the pool
+        cannot be created."""
+        workers = min(self.max_workers, len(jobs))
         try:
-            pool = self._make_pool(min(self.max_workers, len(pending)))
+            pool = self._make_pool(workers)
         except OSError:
-            return [(idx, job, 0) for idx, job in pending]
+            return None
+        scheduler = _EngineScheduler(self, pool, workers)
 
-        in_flight = {}
-        try:
-            for idx, job in pending:
-                future = pool.submit(_execute_payload, _transport(job))
-                in_flight[future] = (idx, job, 1, time.perf_counter())
-            while in_flight:
-                pool = self._collect(pool, in_flight, outcomes)
-        except (BrokenProcessPool, OSError):
-            # The in-flight attempts died with the pool: they count
-            # against each job's retry budget in the serial fallback.
-            leftover = [(idx, job, attempt) for idx, job, attempt, _ in
-                        in_flight.values()]
-            pool.shutdown(wait=False, cancel_futures=True)
-            return leftover
-        pool.shutdown(wait=False, cancel_futures=True)
-        return []
-
-    def _collect(self, pool, in_flight, outcomes):
-        """One wait cycle: harvest finished futures, expire overdue ones,
-        resubmit retryable failures.  Returns the pool to keep using —
-        a *new* pool when expiry had to abandon running workers."""
-        wait_timeout = None
-        if self.timeout is not None:
-            soonest = min(start for _, _, _, start in in_flight.values())
-            wait_timeout = max(0.0,
-                               soonest + self.timeout - time.perf_counter())
-        done, _ = wait(set(in_flight), timeout=wait_timeout,
-                       return_when=FIRST_COMPLETED)
-
-        now = time.perf_counter()
-        if not done:
-            expired = []
-            for future in list(in_flight):
-                start = in_flight[future][3]
-                if now - start >= (self.timeout or float("inf")):
-                    expired.append((future, in_flight.pop(future)))
-            abandoned = []
-            for future, entry in expired:
-                if not future.cancel():
-                    # cancel() is a no-op on a *running* future: the
-                    # worker is still executing the expired attempt and
-                    # would keep its slot indefinitely.  Replace the pool.
-                    abandoned.append(entry)
-            if abandoned:
-                pool = self._replace_pool(pool, in_flight, abandoned)
-            for _, (idx, job, attempt, start) in expired:
-                self._retry_or_fail(
-                    pool, in_flight, outcomes, idx, job, attempt, start,
-                    f"timeout after {self.timeout:.1f}s")
-            return pool
-
-        for future in done:
-            idx, job, attempt, start = in_flight.pop(future)
+        async def submit_all() -> List[dict]:
             try:
-                payload = future.result()
-            except BrokenProcessPool:
-                in_flight[future] = (idx, job, attempt, start)
-                raise
-            except Exception as exc:  # noqa: BLE001 — worker-side failure
-                self._retry_or_fail(pool, in_flight, outcomes, idx, job,
-                                    attempt, start,
-                                    f"{type(exc).__name__}: {exc}")
-                continue
-            result = type(job).result_from_dict(payload)
-            self._store(job, result)
-            outcomes[idx] = JobOutcome(job, result, "ok",
-                                       now - start, attempt)
-        return pool
+                # run() has read the store for these jobs: the loop
+                # only writes it.
+                return await asyncio.gather(
+                    *(scheduler.submit(job, fresh=True) for job in jobs))
+            finally:
+                await scheduler.close()
 
-    def _replace_pool(self, pool, in_flight, abandoned):
-        """Tear down ``pool`` (some workers are stuck on expired attempts
-        that ``cancel()`` could not stop) and move the surviving in-flight
-        jobs onto a fresh pool with their attempt counts intact."""
-        for idx, job, attempt, start in abandoned:
-            self.abandoned.append({
-                "job": job.label, "key": job.key, "attempts": attempt})
-            if self.journal is not None:
-                self.journal.record(
-                    key=job.key, job=job.label, status="abandoned",
-                    cached=False, attempts=attempt,
-                    wall_seconds=time.perf_counter() - start,
-                    error=f"attempt abandoned: still running after "
-                          f"{self.timeout:.1f}s timeout")
-        survivors = list(in_flight.values())
-        in_flight.clear()
-        pool.shutdown(wait=False, cancel_futures=True)
-        new_pool = self._make_pool(
-            min(self.max_workers, max(1, len(survivors) + len(abandoned))))
-        for idx, job, attempt, _ in survivors:
-            future = new_pool.submit(_execute_payload, _transport(job))
-            in_flight[future] = (idx, job, attempt, time.perf_counter())
-        return new_pool
-
-    def _retry_or_fail(self, pool, in_flight, outcomes, idx, job,
-                       attempt, start, error) -> None:
-        if attempt <= self.retries:
-            future = pool.submit(_execute_payload, _transport(job))
-            in_flight[future] = (idx, job, attempt + 1,
-                                 time.perf_counter())
-        else:
-            outcomes[idx] = JobOutcome(
-                job, None, "failed",
-                time.perf_counter() - start, attempt, error)
+        results = _run_coroutine(submit_all())
+        self.abandoned = [event for outcome in results
+                          for event in outcome["abandoned"]]
+        return [JobOutcome.from_dict(job, outcome)
+                for job, outcome in zip(jobs, results)]
 
     # -- plumbing ----------------------------------------------------------------
-
-    def _store(self, job: Any, result: Any) -> None:
-        if self.store is not None and cacheable(job):
-            self.store.put(job, result)
 
     def _journal(self, outcome: JobOutcome) -> None:
         if self.journal is None:

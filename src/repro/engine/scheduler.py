@@ -1,57 +1,53 @@
-"""Async scheduler: dedupe by content key, execute on a shared pool.
+"""The pool attempt loop: dedupe by content key, run on a process pool.
 
-One long-lived :class:`Scheduler` serves every connection of a daemon.
-Each *unique* job key in flight owns exactly one asyncio task; clients
-submitting that key while it runs attach to the task and share its
-outcome (``status="shared"``), so N identical sweeps from N clients cost
-one execution.  Store hits short-circuit before the dedupe map and never
-touch the pool.
+Every job that runs on a worker process goes through a
+:class:`Scheduler`: :class:`~repro.engine.executor.ExperimentEngine`
+builds one per pool run, and the ``repro serve`` daemon keeps one for
+its lifetime.  Each *unique* job key in flight owns exactly one asyncio
+task; a submission of a key already running attaches to it and shares
+its outcome (``status="shared"``).  Store hits short-circuit before the
+dedupe map; a stored payload the job's kind cannot read back is a miss,
+as for :meth:`~repro.engine.store.ResultStore.get`.  Attempts run
+:func:`repro.engine.executor._execute_payload`, the one worker entry.
 
-Execution goes through the identical worker entry the embedded engine
-uses (:func:`repro.engine.executor._execute_payload` dispatching via the
-``JOB_KINDS`` registry), so a daemon-run job is bit-identical to an
-embedded-engine run of the same spec.  The PR-2 failure semantics are
-preserved in async form:
+Failure semantics (DESIGN.md §6):
 
-* per-attempt wall-clock ``timeout``; an expired attempt whose worker
-  cannot be cancelled forces a pool replacement and is journaled
-  ``"abandoned"`` (the attempt may still succeed on retry),
-* a killed/crashed worker (``BrokenProcessPool``) replaces the pool and
-  retries within the budget — client connections never drop,
-* other jobs' attempts still queued in a replaced pool move to the new
-  pool with their attempt counts unchanged,
+* the pool gets at most one attempt per worker, so an attempt starts on
+  a free worker and its ``timeout`` measures its run, not a queue wait;
+* an expired attempt whose worker cannot be cancelled replaces the pool
+  and is journaled ``"abandoned"``; an attempt still queued in the old
+  pool never ran, so it moves to the new pool as the same attempt;
+* a dead worker (``BrokenProcessPool``) replaces the pool once, however
+  many attempts died with it, and each of their jobs retries alone on
+  the pool, so a worker that dies again takes no other job's attempt;
 * ``retries`` extra attempts per job, then a ``"failed"`` outcome.
 
 Outcomes are plain dicts in the wire shape (``status``/``cached``/
-``attempts``/``wall_seconds``/``error``/``result`` payload), the same
-serialized form the store and the journal use.  Every outcome is
-journaled; subscribed clients receive each journal record as a live
-event.
+``attempts``/``wall_seconds``/``error``/``result`` payload).  Every
+outcome is journaled; subscribed clients receive each journal record as
+a live event.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import os
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, AsyncIterator, Dict, List, Optional, Tuple
 
-from repro.engine.executor import _execute_payload
+# The worker entry is read off its module at submit time: workers
+# unpickle it by that name, so a pool initializer can rebind it there.
+from repro.engine import executor
 from repro.engine.job import cacheable, job_to_transport
 from repro.engine.journal import RunJournal
-from repro.engine.store import ResultStore
-
-
-def _consume(wrapped: "asyncio.Future") -> None:
-    """Swallow the eventual result of an abandoned future so the event
-    loop never logs 'exception was never retrieved'."""
-    if not wrapped.cancelled():
-        wrapped.exception()
+from repro.engine.store import ResultStore, read_result
 
 
 class Scheduler:
-    """Deduplicating dispatcher over one shared process pool."""
+    """Deduplicating dispatcher over one process pool at a time."""
 
     def __init__(self, store: Optional[ResultStore] = None,
                  journal: Optional[RunJournal] = None,
@@ -62,10 +58,13 @@ class Scheduler:
         if journal is None and store is not None:
             journal = RunJournal(store.journal_path)
         self.journal = journal
-        self.workers = max(1, workers) if workers else None
+        self.workers = max(1, workers or os.cpu_count() or 1)
         self.timeout = timeout
         self.retries = max(0, retries)
         self._pool: Optional[ProcessPoolExecutor] = None
+        #: One slot per pool worker, and the lock an attempt that must
+        #: run alone holds while it gathers every slot (see _slot).
+        self._gate: Optional[Tuple[asyncio.Semaphore, asyncio.Lock]] = None
         self._in_flight: Dict[str, "asyncio.Task"] = {}
         #: Journal-event subscriber queues (one per subscribed client).
         self._subscribers: List["asyncio.Queue"] = []
@@ -84,21 +83,23 @@ class Scheduler:
         execute.  Always returns an outcome dict, never raises for
         job-level failures.  The store is read and written only for
         :func:`~repro.engine.job.cacheable` jobs, and not at all when
-        ``use_store`` is false."""
+        ``use_store`` is false; ``fresh`` skips the read."""
         self.counters["submitted"] += 1
         start = time.perf_counter()
+        key = job.key
         store = self.store if use_store and cacheable(job) else None
         if store is not None and not fresh:
             payload = await asyncio.to_thread(store.get_payload, job)
-            if payload is not None:
+            if payload is not None and \
+                    read_result(job, payload) is not None:
                 self.counters["hits"] += 1
-                outcome = self._outcome(job, "hit", payload, cached=True,
-                                        attempts=0,
+                outcome = self._outcome(job, key, "hit", payload,
+                                        cached=True, attempts=0,
                                         wall=time.perf_counter() - start)
-                await self._journal(job, outcome)
+                await self._journal(outcome)
                 return outcome
 
-        task = self._in_flight.get(job.key)
+        task = self._in_flight.get(key)
         if task is not None:
             # Attach: share the twin's execution.  shield() keeps a
             # disconnecting waiter from cancelling the shared work.
@@ -109,14 +110,14 @@ class Scheduler:
                 outcome["status"] = "shared"
             outcome["wall_seconds"] = time.perf_counter() - start
             outcome["abandoned"] = []
-            await self._journal(job, outcome)
+            await self._journal(outcome)
             return outcome
 
         loop = asyncio.get_running_loop()
-        task = loop.create_task(self._run_job(job, store))
-        self._in_flight[job.key] = task
+        task = loop.create_task(self._run_job(job, key, store))
+        self._in_flight[key] = task
 
-        def _cleanup(done_task: "asyncio.Task", key: str = job.key) -> None:
+        def _cleanup(done_task: "asyncio.Task", key: str = key) -> None:
             if self._in_flight.get(key) is done_task:
                 del self._in_flight[key]
 
@@ -168,81 +169,122 @@ class Scheduler:
 
     # -- execution ---------------------------------------------------------------
 
-    async def _run_job(self, job: Any,
+    async def _run_job(self, job: Any, key: str,
                        store: Optional[ResultStore]) -> dict:
-        start = time.perf_counter()
+        start = 0.0
         error: Optional[str] = None
         abandoned: List[dict] = []
+        alone = False
         attempt = 0
         for attempt in range(1, self.retries + 2):
-            try:
-                future, wrapped = await self._dispatch(job)
-            except OSError as exc:
-                error = f"cannot create worker pool: {exc}"
-                continue
-            if not wrapped.done():
-                error = f"timeout after {self.timeout:.1f}s"
-                wrapped.add_done_callback(_consume)
-                if not future.cancel():
-                    # The worker is still executing the expired attempt
-                    # and would hold its slot forever: replace the pool,
-                    # as the embedded engine's executor does.
-                    abandoned.append(await self._abandon(job, attempt, start))
-                    self._replace_pool()
-                continue
-            try:
-                # The future is done: await resolves immediately,
-                # without .result()'s blocking API.
-                payload = await wrapped
-            except BrokenProcessPool:
-                # A worker died mid-attempt (OOM-kill, crash).  The pool
-                # is unusable; replace it and retry within the budget.
-                error = "worker process died (BrokenProcessPool)"
-                self._replace_pool()
-                continue
-            except Exception as exc:  # noqa: BLE001 — job is the fault unit
-                error = f"{type(exc).__name__}: {exc}"
-                continue
+            async with self._slot(alone):
+                if attempt == 1:
+                    # The job's wall time starts with its first attempt
+                    # on a free worker, not with its wait for one.
+                    start = time.perf_counter()
+                try:
+                    pool, future, wrapped = await self._dispatch(job)
+                except OSError as exc:
+                    error = f"cannot create worker pool: {exc}"
+                    continue
+                if not wrapped.done():
+                    error = f"timeout after {self.timeout:.1f}s"
+                    # Detached, a late result never reaches this loop,
+                    # which may be closed by then.
+                    wrapped.cancel()
+                    if not future.cancel():
+                        # The worker is still executing the expired
+                        # attempt and would hold its slot forever.
+                        self._replace_pool(pool)
+                        abandoned.append(
+                            await self._abandon(job, key, attempt, start))
+                    continue
+                try:
+                    # The future is done: await resolves immediately,
+                    # without .result()'s blocking API.
+                    payload = await wrapped
+                except BrokenProcessPool:
+                    # A worker died mid-attempt (OOM-kill, crash), and
+                    # every attempt on its pool died with it.
+                    error = "worker process died (BrokenProcessPool)"
+                    self._replace_pool(pool)
+                    alone = True
+                    continue
+                except Exception as exc:  # noqa: BLE001 — job is the fault unit
+                    error = f"{type(exc).__name__}: {exc}"
+                    continue
 
+            # The worker is free again: the store write and the journal
+            # record below do not hold its slot.
             if store is not None:
                 await asyncio.to_thread(store.put_payload, job, payload)
             self.counters["executed"] += 1
-            outcome = self._outcome(job, "ok", payload, cached=False,
+            outcome = self._outcome(job, key, "ok", payload, cached=False,
                                     attempts=attempt,
                                     wall=time.perf_counter() - start,
                                     abandoned=abandoned)
-            await self._journal(job, outcome)
+            await self._journal(outcome)
             return outcome
 
         self.counters["failed"] += 1
-        outcome = self._outcome(job, "failed", None, cached=False,
+        outcome = self._outcome(job, key, "failed", None, cached=False,
                                 attempts=attempt,
                                 wall=time.perf_counter() - start,
                                 error=error, abandoned=abandoned)
-        await self._journal(job, outcome)
+        await self._journal(outcome)
         return outcome
 
-    async def _dispatch(self, job: Any) -> "Tuple[Future, asyncio.Future]":
+    @contextlib.asynccontextmanager
+    async def _slot(self, alone: bool) -> AsyncIterator[None]:
+        """Hold one pool worker for an attempt, or every worker when the
+        attempt must run ``alone``."""
+        if self._gate is None:
+            # Made inside the loop that uses them: Python 3.9 binds
+            # asyncio primitives to a loop when they are constructed.
+            self._gate = (asyncio.Semaphore(self.workers), asyncio.Lock())
+        slots, gathering = self._gate
+        held = 0
+        try:
+            if alone:
+                # One attempt gathers slots at a time: two that each
+                # held some would wait for each other forever.
+                async with gathering:
+                    for _ in range(self.workers):
+                        await slots.acquire()
+                        held += 1
+            else:
+                await slots.acquire()
+                held = 1
+            yield
+        finally:
+            for _ in range(held):
+                slots.release()
+
+    async def _dispatch(self, job: Any) -> Tuple[
+            Optional[ProcessPoolExecutor], "Future", "asyncio.Future"]:
         """Submit one attempt and wait for it, up to the timeout.
 
-        Returns the pool future and its asyncio wrapper, which is done
-        unless the attempt timed out.  ``asyncio.wait`` hands back a
-        wrapper that was cancelled under it instead of raising, so a
-        ``CancelledError`` here is always this task's own.  A cancelled
-        wrapper means a pool replacement (for another job's stuck or
-        dead worker) cancelled the attempt while it was still queued:
-        it never ran, so it goes to the new pool as the same attempt.
+        Returns the pool the attempt ran on, the pool future and its
+        asyncio wrapper, which is done unless the attempt timed out.
+        ``asyncio.wait`` hands back a wrapper that was cancelled under
+        it instead of raising, so a ``CancelledError`` here is always
+        this task's own.  A cancelled wrapper means a pool replacement
+        (for another job's stuck or dead worker) cancelled the attempt
+        while it was still queued: it never ran, so it goes to the new
+        pool as the same attempt.
         """
         while True:
             future = self._submit_to_pool(job)
+            pool = self._pool
             wrapped = asyncio.wrap_future(future)
             try:
                 await asyncio.wait({wrapped}, timeout=self.timeout)
             except asyncio.CancelledError:
+                wrapped.cancel()
                 future.cancel()
                 raise
             if not wrapped.cancelled():
-                return future, wrapped
+                return pool, future, wrapped
 
     # -- pool plumbing -----------------------------------------------------------
 
@@ -251,33 +293,38 @@ class Scheduler:
         return ProcessPoolExecutor(max_workers=self.workers)
 
     def _submit_to_pool(self, job: Any) -> "Future":
-        """Submit one job to the shared pool (creating or replacing the
-        pool as needed); a seam for tests."""
+        """Submit one attempt to the current pool, making one first if
+        there is none; a seam for tests."""
+        payload = job_to_transport(job)
         if self._pool is None:
             self._pool = self._make_pool()
-        payload = job_to_transport(job)
         try:
-            return self._pool.submit(_execute_payload, payload)
+            return self._pool.submit(executor._execute_payload, payload)
         except (BrokenProcessPool, RuntimeError):
-            # Pool broke between attempts; one replacement, then let
-            # errors surface to the retry loop.
-            self._replace_pool()
-            assert self._pool is not None
-            return self._pool.submit(_execute_payload, payload)
+            # The pool broke since the last attempt: one replacement,
+            # then let errors surface to the retry loop.
+            self._replace_pool(self._pool)
+            self._pool = self._make_pool()
+            return self._pool.submit(executor._execute_payload, payload)
 
-    def _replace_pool(self) -> None:
+    def _replace_pool(self, pool: Optional[ProcessPoolExecutor]) -> None:
+        """Shut ``pool`` down so the next attempt gets a fresh one, unless
+        it is gone already: every attempt that died with a pool calls
+        this, and the pool is replaced once."""
+        if pool is not self._pool:
+            return
         self.counters["pool_replacements"] += 1
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-        self._pool = self._make_pool()
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
+        self._pool = None
 
-    async def _abandon(self, job: Any, attempt: int,
+    async def _abandon(self, job: Any, key: str, attempt: int,
                        start: float) -> dict:
         """Journal one abandoned attempt (stuck worker past timeout)."""
         self.counters["abandoned"] += 1
-        event = {"job": job.label, "key": job.key, "attempts": attempt}
+        event = {"job": job.label, "key": key, "attempts": attempt}
         await self._record(
-            key=job.key, job=job.label, status="abandoned",
+            key=key, job=job.label, status="abandoned",
             cached=False, attempts=attempt,
             wall_seconds=time.perf_counter() - start,
             error=f"attempt abandoned: still running after "
@@ -287,12 +334,12 @@ class Scheduler:
     # -- store / journal ---------------------------------------------------------
 
     @staticmethod
-    def _outcome(job: Any, status: str, payload: Optional[dict], *,
-                 cached: bool, attempts: int, wall: float,
+    def _outcome(job: Any, key: str, status: str, payload: Optional[dict],
+                 *, cached: bool, attempts: int, wall: float,
                  error: Optional[str] = None,
                  abandoned: Optional[List[dict]] = None) -> dict:
         return {
-            "key": job.key,
+            "key": key,
             "label": job.label,
             "kind": job.kind,
             "status": status,
@@ -304,7 +351,7 @@ class Scheduler:
             "abandoned": list(abandoned or []),
         }
 
-    async def _journal(self, job: Any, outcome: dict) -> None:
+    async def _journal(self, outcome: dict) -> None:
         payload = outcome.get("result") or {}
         sim_wall = payload.get("wall_seconds")
         instructions = payload.get("instructions")

@@ -44,7 +44,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine.job import SimJob
 from repro.engine.journal import append_jsonl_line, read_jsonl
@@ -62,6 +62,17 @@ _KEY_LEN = 64  # SHA-256 hex
 def _is_key(name: str) -> bool:
     return len(name) == _KEY_LEN and \
         all(c in "0123456789abcdef" for c in name)
+
+
+def read_result(job: Any, payload: dict) -> Optional[Any]:
+    """``payload`` read back through ``job``'s kind
+    (``result_from_dict``), or None when the kind rejects it: a corrupt
+    or schema-mismatched payload.  A stored payload is a hit only if
+    this reads it."""
+    try:
+        return type(job).result_from_dict(payload)
+    except (KeyError, TypeError, ValueError):
+        return None
 
 
 class StoreIndex:
@@ -212,17 +223,11 @@ class ResultStore:
 
     def get(self, job: SimJob) -> Optional[SimulationResult]:
         """The cached result for ``job``, or None.  Corrupt or
-        schema-mismatched blobs read as misses, never as errors.
-        Rehydration dispatches through the job kind's own
-        ``result_from_dict`` (same contract as the executor's harvest
-        path), so non-``sim`` kinds get real cache hits too."""
+        schema-mismatched blobs read as misses, never as errors
+        (:func:`read_result`), so non-``sim`` kinds get real cache hits
+        too."""
         payload = self.get_payload(job)
-        if payload is None:
-            return None
-        try:
-            return type(job).result_from_dict(payload)
-        except (KeyError, TypeError, ValueError):
-            return None
+        return None if payload is None else read_result(job, payload)
 
     def get_payload(self, job: SimJob) -> Optional[dict]:
         """The stored ``result.to_dict()`` payload for ``job``, or None.
@@ -242,9 +247,10 @@ class ResultStore:
         return self.put_payload(job, result.to_dict())
 
     def put_payload(self, job: SimJob, payload: dict) -> str:
-        """Store an already-serialized result payload (daemon path)."""
-        blob = {"key": job.key, "job": job.to_dict(), "result": payload}
-        return self._write_blob(job.key, blob)
+        """Store an already-serialized result payload (pool path)."""
+        key = job.key
+        blob = {"key": key, "job": job.to_dict(), "result": payload}
+        return self._write_blob(key, blob)
 
     def _write_blob(self, key: str, blob: dict) -> str:
         path = self.path_for(key)

@@ -14,22 +14,17 @@ Clients submit jobs in the executor's transport form
 :func:`~repro.engine.job.job_to_transport`), and the daemon streams one
 ``job`` event per finished job plus a terminal ``done`` summary.
 
-**Scheduler** (scheduler.py).  The dedupe heart: one asyncio task per
-*unique* job key.  N clients submitting the same key while it is in
-flight all await the same execution (journaled once as ``"ok"``, the
-attachments as ``"shared"``); store hits short-circuit without touching
-the pool.  Only jobs whose kind defines ``spec()`` use the store
-(:func:`~repro.engine.job.cacheable`, the embedded engine's rule).
-Execution dispatches through the same
-``JOB_KINDS``/process-pool worker entry the embedded engine uses, with
-the PR-2 failure semantics preserved: per-attempt timeout, pool
-replacement when a stuck worker cannot be cancelled (journaled
-``"abandoned"``), bounded retries, and a broken pool (killed worker)
-retried on a fresh pool without dropping client connections.
-
 **Daemon** (daemon.py).  The asyncio front end: accepts connections,
-validates requests, fans submissions into the scheduler, streams
-results and (for subscribed clients) live journal events back.
+validates requests, fans submissions into one long-lived
+:class:`~repro.engine.scheduler.Scheduler` — the engine's pool attempt
+loop, which the embedded engine runs too — and streams results and
+(for subscribed clients) live journal events back.  The scheduler is
+the dedupe heart: one asyncio task per *unique* job key, so N clients
+submitting the same key while it is in flight all await the same
+execution (journaled once as ``"ok"``, the attachments as
+``"shared"``); store hits short-circuit without touching the pool.  A
+killed worker, a stuck one past its timeout and a failing job all end
+as outcomes on the wire; client connections never drop.
 
 **Client** (client.py).  A synchronous thin client whose
 :meth:`~repro.service.client.ServiceClient.run` is engine-shaped
@@ -47,10 +42,9 @@ from repro.service.client import (ServiceClient, ServiceError,
                                   ServiceUnavailable, connect_or_none)
 from repro.service.daemon import ServiceDaemon
 from repro.service.protocol import PROTOCOL_VERSION, ProtocolError
-from repro.service.scheduler import Scheduler
 
 __all__ = [
-    "PROTOCOL_VERSION", "ProtocolError", "Scheduler", "ServiceClient",
+    "PROTOCOL_VERSION", "ProtocolError", "ServiceClient",
     "ServiceDaemon", "ServiceError", "ServiceUnavailable",
     "connect_or_none",
 ]

@@ -178,15 +178,7 @@ class ServiceClient:
             kind = event.get("event")
             if kind == "job":
                 seq = event["seq"]
-                job = jobs[seq]
-                payload = event.get("result")
-                result = None
-                if payload is not None:
-                    result = type(job).result_from_dict(payload)
-                outcomes[seq] = JobOutcome(
-                    job, result, event["status"],
-                    event.get("wall_seconds", 0.0),
-                    event.get("attempts", 0), event.get("error"))
+                outcomes[seq] = JobOutcome.from_dict(jobs[seq], event)
             elif kind == "done":
                 self.abandoned = list(event.get("abandoned", ()))
                 break

@@ -1,4 +1,5 @@
-"""The sweep daemon: asyncio front end over the :class:`Scheduler`.
+"""The sweep daemon: asyncio front end over the engine's
+:class:`~repro.engine.scheduler.Scheduler`.
 
 One daemon owns one cache root, one journal, and one process pool, and
 serves any number of concurrent clients:
@@ -36,10 +37,10 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.engine.job import job_from_transport
 from repro.engine.journal import RunJournal
+from repro.engine.scheduler import Scheduler
 from repro.engine.store import ResultStore
 from repro.service import protocol
 from repro.service.protocol import ProtocolError
-from repro.service.scheduler import Scheduler
 
 _HTTP_STATUS = {200: "OK", 400: "Bad Request", 404: "Not Found",
                 405: "Method Not Allowed", 500: "Internal Server Error"}

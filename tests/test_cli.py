@@ -1,8 +1,25 @@
 """Tests for the command-line interface (driven in-process)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main, make_parser
+
+
+def test_import_leaves_the_workload_registry_unloaded():
+    """Commands that build no workload (``cache``, ``serve``) must not
+    pay the registry's import, most of the CLI's import time."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.cli; print('repro.workloads' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 class TestParser:

@@ -409,6 +409,33 @@ class TestEngineParallel:
         assert all("timeout" in o.error for o in outcomes)
 
 
+class TestKeyWork:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_keys_hashed_at_most_three_times_per_run(self, tmp_path,
+                                                     monkeypatch, workers):
+        """A key costs about 150 us to hash (it resolves and serializes
+        the config): an executed job may cost three hashes (store
+        lookup, store write and journal or loop) and a store hit two,
+        in-process and on the pool alike."""
+        import repro.engine.job as job_module
+        calls = []
+        content_key = job_module.content_key
+
+        def counting(spec):
+            calls.append(spec)
+            return content_key(spec)
+
+        monkeypatch.setattr(job_module, "content_key", counting)
+        engine = ExperimentEngine(store=ResultStore(str(tmp_path)),
+                                  jobs=workers)
+        jobs = GRID[:2]
+        assert [o.status for o in engine.run(jobs)] == ["ok", "ok"]
+        assert len(calls) <= 3 * len(jobs)
+        calls.clear()
+        assert [o.status for o in engine.run(jobs)] == ["hit", "hit"]
+        assert len(calls) <= 2 * len(jobs)
+
+
 class TestCrossInterpreterDeterminism:
     def test_fresh_interpreter_reproduces_stats(self, tmp_path,
                                                 live_result):

@@ -17,8 +17,9 @@ import pytest
 
 from repro.cli import main
 from repro.engine import ResultStore, RunJournal, SimJob, job_to_transport
+from repro.engine.scheduler import Scheduler
 from repro.service import (ServiceClient, ServiceDaemon, ServiceError,
-                           ServiceUnavailable, Scheduler, connect_or_none)
+                           ServiceUnavailable, connect_or_none)
 from repro.service import protocol
 
 #: Small fast job: ~6k instructions, well under a second.
@@ -26,8 +27,13 @@ JOB = SimJob(workload="gap.bfs", technique="conv", scale="tiny",
              max_instructions=6000)
 JOB2 = SimJob(workload="gap.bfs", technique="nowp", scale="tiny",
               max_instructions=6000)
+JOB3 = SimJob(workload="gap.pr", technique="nowp", scale="tiny",
+              max_instructions=6000)
 
-PAYLOAD = {"ipc": 1.0, "wall_seconds": 0.0}
+#: A result payload the scripted pool hands back.  It is a real one: a
+#: stored payload the job's kind cannot read back is a store miss.
+PAYLOAD = SimJob(workload="gap.bfs", technique="nowp", scale="tiny",
+                 max_instructions=200).run().to_dict()
 
 
 def _stats_without_wall(payload):
@@ -86,30 +92,41 @@ class TestProtocol:
 # -- scheduler with a scripted pool ------------------------------------------------
 
 
-class ScriptedScheduler(Scheduler):
-    """Scheduler whose 'pool' plays back a list of behaviours (one per
-    submit) — no real worker processes involved.  Pool replacement
-    cancels every future the old 'pool' handed out, as
+class ScriptedPool:
+    """A 'pool' that plays back its scheduler's script, one behaviour
+    per submit — no real worker processes involved.  Shutting it down
+    cancels every future it handed out, as
     ``shutdown(cancel_futures=True)`` does: queued ones are cancelled,
     finished and running ones are not."""
 
-    def __init__(self, script, **kwargs):
-        super().__init__(**kwargs)
-        self.script = list(script)
-        self.calls = 0
+    def __init__(self, sched):
+        self.sched = sched
         self.handed_out = []
 
-    def _submit_to_pool(self, job):
-        self.calls += 1
-        future = self.script.pop(0)(job)
+    def submit(self, fn, payload):
+        self.sched.calls += 1
+        future = self.sched.script.pop(0)(payload)
         self.handed_out.append(future)
         return future
 
-    def _replace_pool(self):
-        self.counters["pool_replacements"] += 1
+    def shutdown(self, wait=True, cancel_futures=False):
         for future in self.handed_out:
             future.cancel()
-        self.handed_out = []
+
+
+class ScriptedScheduler(Scheduler):
+    """Scheduler whose pools are :class:`ScriptedPool` s sharing one
+    script.  Four workers unless the test says otherwise, so the tests
+    do not depend on the host's CPU count."""
+
+    def __init__(self, script, **kwargs):
+        kwargs.setdefault("workers", 4)
+        super().__init__(**kwargs)
+        self.script = list(script)
+        self.calls = 0
+
+    def _make_pool(self):
+        return ScriptedPool(self)
 
 
 def ok_after(payload, delay=0.0):
@@ -322,6 +339,60 @@ class TestScheduler:
         asyncio.run(go())
         statuses = Counter(e["status"] for e in journal.entries())
         assert statuses == {"ok": 1, "shared": 1, "hit": 1}
+
+    def test_dead_pool_is_replaced_once(self):
+        # Three attempts die with one pool: it is replaced once, not
+        # once per attempt (each later replacement would shut down the
+        # pool the first one just made).
+        async def go():
+            sched = ScriptedScheduler([broken] * 3 + [ok_after(PAYLOAD)] * 3,
+                                      retries=1)
+            outs = await asyncio.gather(sched.submit(JOB),
+                                        sched.submit(JOB2),
+                                        sched.submit(JOB3))
+            return sched, outs
+        sched, outs = asyncio.run(go())
+        assert [o["status"] for o in outs] == ["ok"] * 3
+        assert [o["attempts"] for o in outs] == [2] * 3
+        assert sched.counters["pool_replacements"] == 1
+
+    def test_unreadable_stored_payload_is_a_miss(self, tmp_path):
+        # A blob under the job's key whose payload the job's kind cannot
+        # read back is re-simulated, as the engine does, rather than
+        # served as a hit the client then fails to load.
+        store = ResultStore(str(tmp_path))
+        store.put_payload(JOB, {"schema": 999})
+        async def go():
+            sched = ScriptedScheduler([ok_after(PAYLOAD)], store=store)
+            return await sched.submit(JOB)
+        out = asyncio.run(go())
+        assert out["status"] == "ok"
+        assert store.get_payload(JOB) == PAYLOAD
+
+    def test_key_hashed_once_per_submission(self, tmp_path, monkeypatch):
+        # A key costs about 150 us to hash: submit reads job.key once and
+        # passes it on, so an executed job costs three hashes (with the
+        # store's lookup and write) and a hit two.
+        import repro.engine.job as job_module
+        calls = []
+        content_key = job_module.content_key
+
+        def counting(spec):
+            calls.append(spec)
+            return content_key(spec)
+
+        monkeypatch.setattr(job_module, "content_key", counting)
+        store = ResultStore(str(tmp_path))
+        async def go():
+            sched = ScriptedScheduler([ok_after(PAYLOAD)], store=store)
+            first = await sched.submit(JOB)
+            executed = len(calls)
+            second = await sched.submit(JOB)
+            return first, second, executed
+        first, second, executed = asyncio.run(go())
+        assert (first["status"], second["status"]) == ("ok", "hit")
+        assert executed <= 3
+        assert len(calls) - executed <= 2
 
 
 # -- live daemon over a Unix socket ------------------------------------------------

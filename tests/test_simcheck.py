@@ -245,6 +245,32 @@ class TestRealTree:
         assert {"frontend.py", "queue.py", "ooo.py"} <= hot
 
 
+class TestAsyncSafetyScope:
+    """SC007 covers every coroutine in the repro package: the daemon's
+    and the engine's pool attempt loop, which the engine runs too."""
+
+    def _module(self, tmp_path, package):
+        pkg = tmp_path / "src" / "repro" / package
+        pkg.mkdir(parents=True)
+        mod = pkg / "scheduler.py"
+        mod.write_text(textwrap.dedent("""\
+            import time
+
+
+            class Scheduler:
+                async def submit(self, job):
+                    time.sleep(0.1)
+                    return job
+            """))
+        return mod
+
+    @pytest.mark.parametrize("package", ["engine", "service"])
+    def test_blocking_call_in_a_loop_is_flagged(self, tmp_path, package):
+        mod = self._module(tmp_path, package)
+        new, _ = run_simcheck([str(mod)], select=["SC007"])
+        assert [(f.rule, f.line) for f in new] == [("SC007", 6)]
+
+
 class TestBlockTemplateAudit:
     """SC003's block-superhandler arm: the template tables of the three
     rendering modules are dummy-rendered and AST-whitelisted, and the

@@ -1,8 +1,10 @@
-"""SC007 — async-safety: no blocking work reachable from service
-coroutines, and no synchronous lock held across an ``await``.
+"""SC007 — async-safety: no blocking work reachable from the repro
+package's coroutines, and no synchronous lock held across an ``await``.
 
-The service daemon (DESIGN.md §11) runs every client on one asyncio
-event loop; a single blocking call anywhere under an ``async def`` —
+The service daemon (DESIGN.md §10) runs every client on one asyncio
+event loop, and the engine's pool attempt loop
+(``repro/engine/scheduler.py``) runs every pool attempt on one; a
+single blocking call anywhere under an ``async def`` —
 ``time.sleep``, a synchronous ``open``/``os.write``, ``subprocess``, an
 un-awaited ``Future.result()`` — stalls *all* connections, and the bug
 class is invisible to unit tests because a stalled loop still produces
@@ -10,7 +12,7 @@ correct answers, just late.  This rule walks the whole-program call
 graph (:mod:`simcheck.graph` / :mod:`simcheck.effects`) so the blocking
 call is found even when it hides two hops away in a shared helper:
 
-* every ``async def`` in ``src/repro/service/`` is checked for *direct*
+* every ``async def`` in ``src/repro/`` is checked for *direct*
   blocking effects in its own body;
 * every call it makes to a synchronous project function is checked for a
   blocking effect reachable through synchronous callees only — the
@@ -35,12 +37,6 @@ from simcheck.effects import Effect
 from simcheck.rules import in_scope, register
 
 
-def _service_scope(src) -> bool:
-    """Real files: only the service package runs on the event loop."""
-    posix = src.display_path.replace("\\", "/")
-    return "repro/service" in posix
-
-
 def _is_lock_typed(expr: ast.AST, func, graph, env) -> bool:
     """Does this with-item expression denote a ``threading`` lock?"""
     if isinstance(expr, ast.Name):
@@ -56,13 +52,11 @@ def _is_lock_typed(expr: ast.AST, func, graph, env) -> bool:
 class AsyncSafetyRule:
     id = "SC007"
     title = ("async-safety: no blocking call transitively reachable "
-             "from service coroutines; no sync lock held across await")
+             "from repro coroutines; no sync lock held across await")
     severity = "error"
 
     def check(self, src, project):
         if not in_scope(src, self.id):
-            return
-        if not src.is_fixture and not _service_scope(src):
             return
         graph = project.graph
         effects = project.effects
