@@ -7,16 +7,19 @@ Two methodology tools around the core simulator:
    cycle-exactly under nowp/instrec/conv.  Requesting wpemul on a trace
    fails by construction, demonstrating the paper's Section III-B caveat
    that trace frontends cannot emulate wrong paths.
-2. **Sampling** — fast-forward with functional warming + periodic detailed
-   intervals (the paper simulates SimPoint samples of its workloads); the
-   sampled IPC approximates full-detail IPC at a fraction of the cost.
+2. **Sampling** — a functional pass warms caches, TLB, predictor and code
+   cache and snapshots every detailed-interval boundary; each detailed
+   interval restores its snapshot and runs on its own (the paper
+   simulates SimPoint samples of its workloads).  Here the intervals run
+   in-process one after another; ``sample_workload(..., engine=...)``
+   runs them as independent, cached jobs on the experiment engine's pool
+   or the sweep daemon.
 
 Run:  python examples/trace_and_sampling.py
 """
 
 import os
 import tempfile
-import time
 
 from repro import CoreConfig, Simulator
 from repro.functional.trace import (InstructionTrace, TraceError,
@@ -52,19 +55,18 @@ def main() -> None:
         print(f"wpemul on a trace -> rejected as expected: {exc}")
 
     # --- sampling ----------------------------------------------------------
-    t0 = time.perf_counter()
     full = Simulator(program, config=cfg, technique="nowp").run()
-    full_secs = time.perf_counter() - t0
-    t0 = time.perf_counter()
     sampled = simulate_sampled(program, technique="nowp", config=cfg,
                                detail_length=5000,
                                fastforward_length=20_000)
-    sampled_secs = time.perf_counter() - t0
     error = (sampled.ipc - full.ipc) / full.ipc * 100
-    print(f"\nfull detail : IPC {full.ipc:.3f}  ({full_secs:.1f}s)")
-    print(f"sampled 20% : IPC {sampled.ipc:.3f}  ({sampled_secs:.1f}s, "
+    print(f"\nfull detail: IPC {full.ipc:.4f}")
+    print(f"sampled    : IPC {sampled.ipc:.4f} (error {error:+.2f}%), "
           f"{sampled.intervals} detailed intervals, "
-          f"IPC error {error:+.1f}%)")
+          f"{sampled.detail_fraction * 100:.0f}% of "
+          f"{sampled.total_instructions} instructions in detail")
+    print("sample_workload(..., engine=...) runs the same intervals as "
+          "independent jobs on the engine's pool or the sweep daemon")
 
 
 if __name__ == "__main__":

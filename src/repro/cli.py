@@ -23,11 +23,12 @@
     python -m repro predict --model surrogate.json --points 500 \
         --budget 32 --validate 50               # learned IPC surrogate
 
-``sweep`` and ``compare --jobs`` run through the experiment engine
-(:mod:`repro.engine`): jobs fan out over worker processes and finished
-results are cached content-addressed under ``.repro-cache/`` (override
-with ``--cache-dir`` or ``REPRO_CACHE_DIR``), so re-running a grid only
-simulates jobs whose inputs — or the repro source tree — changed.
+``sweep`` and ``compare --jobs`` (or ``--daemon``) run through the
+experiment engine (:mod:`repro.engine`): jobs fan out over worker
+processes and finished results are cached content-addressed under
+``.repro-cache/`` (override with ``--cache-dir`` or
+``REPRO_CACHE_DIR``), so re-running a grid only simulates jobs whose
+inputs — or the repro source tree — changed.
 
 ``serve`` starts the long-running sweep daemon (:mod:`repro.service`):
 one shared warm cache and worker pool for any number of concurrent
@@ -51,6 +52,7 @@ lossless-decomposition cross-check — so the CLI can be scripted.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
@@ -101,20 +103,22 @@ def _add_engine(parser: argparse.ArgumentParser) -> None:
                              "daemon is running")
 
 
-def _daemon_client(socket_path):
-    """Connected daemon client, or None (with a stderr note) so the
-    caller falls back to the embedded engine."""
+def _daemon_client(args):
+    """Client connected to the daemon at ``args.daemon``, closed when
+    the command returns, or None (with a stderr note) so the caller
+    falls back to the embedded engine."""
     from repro.service import connect_or_none
-    client = connect_or_none(socket_path)
+    client = connect_or_none(args.daemon)
     if client is None:
-        print(f"note: no daemon listening on {socket_path}; "
+        print(f"note: no daemon listening on {args.daemon}; "
               f"falling back to the embedded engine", file=sys.stderr)
-    return client
+        return None
+    return args.resources.enter_context(client)
 
 
 def _make_engine(args):
     if getattr(args, "daemon", None):
-        client = _daemon_client(args.daemon)
+        client = _daemon_client(args)
         if client is not None:
             return client
     from repro.engine import ExperimentEngine, ResultStore
@@ -202,7 +206,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    if args.jobs is not None:
+    if args.jobs is not None or args.daemon:
         from repro import compare_workload
         engine = _make_engine(args)
         try:
@@ -538,7 +542,7 @@ def cmd_fuzz(args) -> int:
 
     engine = None
     if args.daemon:
-        engine = _daemon_client(args.daemon)
+        engine = _daemon_client(args)
 
     report = fuzz(seed=args.seed, budget=args.budget,
                   jobs=args.jobs or 1, frontend=args.frontend,
@@ -742,8 +746,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     cmp = sub.add_parser("compare",
                          help="simulate under all four techniques "
-                              "(--jobs N runs them through the parallel, "
-                              "cached experiment engine)")
+                              "(--jobs N or --daemon SOCKET runs them "
+                              "through the parallel, cached experiment "
+                              "engine)")
     cmp.add_argument("workload")
     _add_common(cmp)
     _add_engine(cmp)
@@ -1095,14 +1100,18 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "fuzz": cmd_fuzz, "serve": cmd_serve, "cache": cmd_cache,
                 "surrogate": cmd_surrogate, "predict": cmd_predict}
     handler = handlers[args.command]
-    try:
-        return handler(args)
-    except KeyError as exc:  # unknown workload/technique name
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:  # bad --set override, bad config value
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with contextlib.ExitStack() as resources:
+        # What a command opens through ``args.resources`` (a daemon
+        # client) closes when the command returns.
+        args.resources = resources
+        try:
+            return handler(args)
+        except KeyError as exc:  # unknown workload/technique name
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except ValueError as exc:  # bad --set override, bad config value
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

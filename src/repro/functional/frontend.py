@@ -26,29 +26,20 @@ from repro.isa.program import Program
 class FunctionalFrontend:
     """Produces the dynamic correct-path instruction stream.
 
-    When a ``predictor`` copy is attached it observes *every* dynamic
-    control instruction regardless of :attr:`emulate_wrong_path` — the
-    lockstep contract with the timing model's copy must hold even while
-    emulation itself is gated off (sampled simulation disables the
-    wrong-path walks during fast-forward warming, where the traces would
-    be discarded, but the predictor copies must keep training in program
-    order or they diverge at the next detailed interval).  The gate is
-    read once per :meth:`produce_batch` call, so toggling it between
-    queue refills is safe: instructions already produced keep the traces
-    they were produced with.
+    It emulates wrong paths if and only if it is given a ``predictor``
+    copy, which :func:`repro.simulator.simulation.build_frontend` passes
+    only for wpemul.  The copy sees every dynamic control instruction in
+    program order, in lockstep with the timing model's copy, and each
+    branch it predicts wrong carries an emulated wrong-path trace of up
+    to ``wp_limit`` instructions.
     """
 
     def __init__(self, program: Program, memory: Optional[Memory] = None,
-                 emulate_wrong_path: bool = False,
                  predictor: Optional[BranchPredictorUnit] = None,
                  wp_limit: int = 544):
-        if emulate_wrong_path and predictor is None:
-            raise ValueError(
-                "wrong-path emulation requires a predictor copy")
         if wp_limit < 1:
             raise ValueError("wp_limit must be >= 1")
         self.emulator = Emulator(program, memory)
-        self.emulate_wrong_path = emulate_wrong_path
         self.predictor = predictor
         self.wp_limit = wp_limit
         self._seq = 0
@@ -90,7 +81,6 @@ class FunctionalFrontend:
         sb_compile = superblocks.compile_correct
         instr_at = emu._instr_at
         handlers_get = _HANDLERS.get
-        emulate_wp = self.emulate_wrong_path
         predictor = self.predictor
         wp_limit = self.wp_limit
         new_di = DynInstr.__new__
@@ -118,7 +108,7 @@ class FunctionalFrontend:
                     di = out[-1]
                     prediction = predictor.predict_and_update(
                         di.instr, di.taken, next_pc)
-                    if emulate_wp and prediction != next_pc:
+                    if prediction != next_pc:
                         wp_trace = emu.emulate_wrong_path(prediction,
                                                           wp_limit)
                         self.wp_emulations += 1
@@ -146,7 +136,7 @@ class FunctionalFrontend:
             if predictor is not None and instr.is_control:
                 prediction = predictor.predict_and_update(instr, taken,
                                                           next_pc)
-                if emulate_wp and prediction != next_pc:
+                if prediction != next_pc:
                     wp_trace = emu.emulate_wrong_path(prediction, wp_limit)
                     self.wp_emulations += 1
                     self.wp_instructions_emulated += len(wp_trace)

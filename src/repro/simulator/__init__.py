@@ -3,8 +3,7 @@
 from repro.simulator.runner import TechniqueComparison, compare_techniques
 from repro.simulator.sampling import (SampledResult, SampleIntervalJob,
                                       SampleIntervalResult, functional_pass,
-                                      sample_workload, simulate_sampled,
-                                      simulate_sampled_checkpointed)
+                                      sample_workload, simulate_sampled)
 from repro.simulator.simulation import (ALL_TECHNIQUES, SimulationResult,
                                         Simulator, TECHNIQUES, simulate)
 from repro.simulator.snapshot import SimSnapshot
@@ -13,4 +12,4 @@ __all__ = ["TechniqueComparison", "compare_techniques", "ALL_TECHNIQUES",
            "SimulationResult", "Simulator", "TECHNIQUES", "simulate",
            "SampledResult", "SampleIntervalJob", "SampleIntervalResult",
            "SimSnapshot", "functional_pass", "sample_workload",
-           "simulate_sampled", "simulate_sampled_checkpointed"]
+           "simulate_sampled"]

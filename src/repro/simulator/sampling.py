@@ -1,46 +1,32 @@
-"""Sampled simulation: detailed intervals over a functionally-warmed stream.
+"""Sampled simulation: detailed intervals restored from a functional pass.
 
 The paper simulates "a single 1 billion instruction sample per
 benchmark-input pair, gathered using the SimPoint method" — detailed
 simulation of selected slices rather than whole programs.  This module
-provides the equivalent capability at our scale, in two modes:
+provides the equivalent capability at our scale, in two steps:
 
-**Streaming** (:func:`simulate_sampled`, SMARTS-style): one in-process
-pass alternates between
+1. A fast **functional pass** (:func:`functional_pass`) — no timing
+   model at all — warms private cache/TLB/predictor/code-cache images
+   uniformly over the whole stream and freezes a
+   :class:`~repro.simulator.snapshot.SimSnapshot` at each
+   detailed-interval boundary.  Warming is technique-blind, so one pass
+   serves all four techniques.
+2. Each **detailed interval** restores its snapshot into fresh
+   components, runs ``length`` instructions of full detail with the
+   configured wrong-path technique and returns a
+   :class:`SampleIntervalResult`.
 
-* **fast-forward** intervals, where instructions bypass the timing model
-  but *functionally warm* the long-lived structures (caches, TLB, branch
-  predictor, code cache) so detailed intervals start from realistic
-  state, and
-* **detailed** intervals, simulated by the full out-of-order model with
-  the configured wrong-path technique.
-
-Both phases ride the batch pipeline (``produce_batch`` / ``prepare`` /
-``process_batch``).  Under ``wpemul`` the expensive wrong-path emulation
-is gated off while warming (the traces would be discarded anyway) and
-re-enabled at a queue-refill boundary before each detailed interval, so
-every instruction a detailed interval consumes was produced with
-emulation on — detailed results are bit-identical to an ungated run
-(``gate_warm_wp=False`` disables the gate; a test pins the equality).
-
-**Checkpointed** (:func:`sample_workload`): a fast functional pass — no
-timing model at all — warms private cache/TLB/predictor/code-cache
-images uniformly over the whole stream and freezes a
-:class:`~repro.simulator.snapshot.SimSnapshot` at each detailed-interval
-boundary.  Each interval then becomes an independent
-:class:`SampleIntervalJob` (``kind="sample"`` in the engine's
-``JOB_KINDS`` registry): restore the snapshot into fresh components, run
-``length`` instructions of full detail, return a
-:class:`SampleIntervalResult`.  Because intervals share no mutable
-state, they fan out across the experiment engine's process pool or the
-sweep daemon and land in the content-addressed result cache — and the
-aggregate :meth:`SampledResult.digest` is identical for any ``--jobs``
-count or dispatch path.  The warm images are technique-independent
-(warming is technique-blind), so one functional pass serves all four
-techniques.  The cost relative to streaming mode: wrong-path cache
-pollution from one detailed interval no longer carries into the next
-interval's warm state — the standard checkpointed-sampling
-approximation.
+Because intervals share no mutable state, they are independent jobs:
+:func:`simulate_sampled` runs them in-process one after another, and
+:func:`sample_workload` can instead dispatch them as
+:class:`SampleIntervalJob` jobs (``kind="sample"`` in the engine's
+``JOB_KINDS`` registry) across the experiment engine's process pool or
+the sweep daemon, cached content-addressed.  The aggregate
+:meth:`SampledResult.digest` is identical for any ``--jobs`` count or
+dispatch path.  The cost is the standard checkpointed-sampling
+approximation: wrong-path cache pollution from one detailed interval
+does not carry into the next interval's warm state (DESIGN.md §11
+records its measured effect).
 
 The reported IPC extrapolates from the detailed intervals.  Wrong-path
 reconstruction works unchanged inside detailed intervals: the code cache
@@ -75,7 +61,7 @@ _WARM_CHUNK = 4096
 
 
 class SampledResult:
-    """Outcome of a sampled simulation (streaming or checkpointed).
+    """Outcome of a sampled simulation.
 
     Round-trips through :meth:`to_dict`/:meth:`from_dict` like the other
     result types; :meth:`digest` hashes everything except wall-clock
@@ -87,11 +73,14 @@ class SampledResult:
     #: blobs from other schema versions.
     SCHEMA = 1
 
+    #: The one sampling mode.  :meth:`to_dict` keeps the field, so
+    #: sampled digests recorded earlier still match.
+    mode = "checkpoint"
+
     def __init__(self, name: str, technique: str,
                  detailed_instructions: int, detailed_cycles: int,
                  warmed_instructions: int, intervals: int,
                  wall_seconds: float, stats,
-                 mode: str = "stream",
                  interval_results: Optional[List[dict]] = None):
         self.name = name
         self.technique = technique
@@ -101,9 +90,8 @@ class SampledResult:
         self.intervals = intervals
         self.wall_seconds = wall_seconds
         self.stats = stats
-        self.mode = mode
-        #: Checkpointed mode: per-interval ``SampleIntervalResult``
-        #: payloads in interval order (streaming mode: empty).
+        #: Per-interval ``SampleIntervalResult`` payloads in interval
+        #: order.
         self.interval_results = list(interval_results or [])
 
     @property
@@ -151,7 +139,6 @@ class SampledResult:
             intervals=data["intervals"],
             wall_seconds=data["wall_seconds"],
             stats=CoreStats.from_counters(data["stats"]),
-            mode=data["mode"],
             interval_results=[dict(r)
                               for r in data["interval_results"]],
         )
@@ -194,122 +181,6 @@ def _warm(batch, cur_line: int, line_shift: int, hierarchy, bpu,
         if instr.is_control:
             predict(instr, di.taken, di.next_pc)
     return cur_line
-
-
-# -- streaming mode ------------------------------------------------------------
-
-
-def simulate_sampled(program: Program, technique: str = "nowp",
-                     config: Optional[CoreConfig] = None,
-                     detail_length: int = 10_000,
-                     fastforward_length: int = 40_000,
-                     max_instructions: Optional[int] = None,
-                     name: str = "program",
-                     gate_warm_wp: bool = True) -> SampledResult:
-    """Simulate with alternating fast-forward/detailed intervals.
-
-    The stream starts with a fast-forward interval (warmup), then
-    alternates.  ``detail_length``/``fastforward_length`` control the duty
-    cycle (the defaults simulate 20% of the stream in detail).  The total
-    instruction count never exceeds ``max_instructions``: each interval
-    is clamped to the remaining budget.
-
-    ``gate_warm_wp`` suppresses wrong-path emulation while warming under
-    ``wpemul`` (the produced traces would be discarded); the frontend's
-    predictor copy keeps training either way, and emulation is restored
-    before any instruction a detailed interval will consume is produced,
-    so detailed results are unchanged.
-    """
-    if technique not in TECHNIQUES:
-        raise ValueError(f"unknown technique {technique!r}")
-    if detail_length < 1 or fastforward_length < 0:
-        raise ValueError("need detail_length >= 1 and "
-                         "fastforward_length >= 0")
-    cfg = config if config is not None else CoreConfig()
-    start = time.perf_counter()
-
-    frontend = build_frontend(program, cfg, technique)
-    queue = RunaheadQueue(frontend.produce_batch, depth=runahead_depth(cfg))
-    core = OoOCore(cfg, CacheHierarchy.from_config(cfg),
-                   BranchPredictorUnit.from_config(cfg),
-                   TECHNIQUES[technique](), queue=queue)
-
-    def warm(batch) -> None:
-        core._cur_fetch_line = _warm(batch, core._cur_fetch_line,
-                                     core._line_shift, core.hierarchy,
-                                     core.bpu, core.code_cache)
-
-    gated = gate_warm_wp and frontend.emulate_wrong_path
-    detailed = 0
-    warmed = 0
-    intervals = 0
-    detailed_cycles = 0
-    processed = 0
-    exhausted = False
-    limit = max_instructions
-    while not exhausted and (limit is None or processed < limit):
-        # -- fast-forward interval (functional warming) -------------------
-        budget = fastforward_length if limit is None \
-            else min(fastforward_length, limit - processed)
-        # First drain what the previous detailed interval left in the
-        # queue: those instructions were produced with emulation on, so
-        # consuming them as-is keeps the stream consistent (their traces
-        # are simply discarded by _warm).
-        buf = queue._buf
-        head = queue._head
-        take = min(len(buf) - head, budget)
-        warm(buf[head:head + take])
-        queue._head = head + take
-        budget -= take
-        warmed += take
-        processed += take
-        if budget > 0:
-            # The queue is now empty; further warming instructions are
-            # produced directly (never queued), with emulation gated off
-            # — a production boundary, so no prefetched instruction
-            # changes meaning.
-            if gated:
-                frontend.emulate_wrong_path = False
-            while budget > 0:
-                want = min(_WARM_CHUNK, budget)
-                batch = frontend.produce_batch(want)
-                warm(batch)
-                got = len(batch)
-                budget -= got
-                warmed += got
-                processed += got
-                if got < want:
-                    exhausted = True
-                    break
-            if gated:
-                # Back on before the detailed interval's refills: every
-                # queued instruction a detailed interval consumes was
-                # produced with emulation enabled.
-                frontend.emulate_wrong_path = True
-        if exhausted or (limit is not None and processed >= limit):
-            break
-        # -- detailed interval --------------------------------------------
-        budget = detail_length if limit is None \
-            else min(detail_length, limit - processed)
-        cycles_before = core.last_retire
-        # Reset the fetch clock to just after the last retirement so the
-        # detailed interval does not charge the skipped region.
-        core.fetch.restart_at(core.last_retire)
-        core._cur_fetch_line = -1
-        ran = core.drain(queue, budget)
-        exhausted = ran < budget
-        processed += ran
-        if ran:
-            intervals += 1
-            detailed += ran
-            detailed_cycles += core.last_retire - cycles_before
-    stats = core.finalize()
-    wall = time.perf_counter() - start
-    return SampledResult(name, technique, detailed, detailed_cycles,
-                         warmed, intervals, wall, stats, mode="stream")
-
-
-# -- checkpointed mode ---------------------------------------------------------
 
 
 class SamplePlan:
@@ -582,7 +453,7 @@ class SampleIntervalJob:
 
 def _aggregate(name: str, technique: str,
                results: List[SampleIntervalResult],
-               warmed_only: int, wall: float) -> SampledResult:
+               total_instructions: int, wall: float) -> SampledResult:
     detailed = sum(r.stats.instructions for r in results)
     detailed_cycles = sum(r.stats.cycles for r in results)
     intervals = sum(1 for r in results if r.stats.instructions)
@@ -591,22 +462,27 @@ def _aggregate(name: str, technique: str,
         for field, value in r.stats.counters().items():
             totals[field] = totals.get(field, 0) + value
     return SampledResult(
-        name, technique, detailed, detailed_cycles, warmed_only,
-        intervals, wall, CoreStats.from_counters(totals),
-        mode="checkpoint",
+        name, technique, detailed, detailed_cycles,
+        total_instructions - detailed, intervals, wall, CoreStats.from_counters(totals),
         interval_results=[r.to_dict() for r in results])
 
 
-def simulate_sampled_checkpointed(
-        program: Program, technique: str = "nowp",
-        config: Optional[CoreConfig] = None,
-        detail_length: int = 10_000,
-        fastforward_length: int = 40_000,
-        max_instructions: Optional[int] = None,
-        name: str = "program") -> SampledResult:
-    """In-process checkpointed sampling over a raw program: functional
-    pass, then every interval restored and simulated sequentially.
-    (:func:`sample_workload` is the registry/engine-dispatched variant.)
+def simulate_sampled(program: Program, technique: str = "nowp",
+                     config: Optional[CoreConfig] = None,
+                     detail_length: int = 10_000,
+                     fastforward_length: int = 40_000,
+                     max_instructions: Optional[int] = None,
+                     name: str = "program") -> SampledResult:
+    """Sample ``program`` in-process: a functional pass, then every
+    detailed interval restored from its snapshot and simulated in turn.
+
+    The stream starts with a fast-forward (warming) interval, then
+    alternates.  ``detail_length``/``fastforward_length`` set the duty
+    cycle (the defaults simulate 20% of the stream in detail).  The
+    total instruction count never exceeds ``max_instructions``: each
+    interval is clamped to the remaining budget.
+    (:func:`sample_workload` samples a registry workload and can
+    dispatch the intervals as engine jobs.)
     """
     if technique not in TECHNIQUES:
         raise ValueError(f"unknown technique {technique!r}")
@@ -619,9 +495,8 @@ def simulate_sampled_checkpointed(
                              workload=name)
                for snap, length in plan.intervals]
     wall = time.perf_counter() - start
-    detailed = sum(r.stats.instructions for r in results)
-    return _aggregate(name, technique, results,
-                      plan.total_instructions - detailed, wall)
+    return _aggregate(name, technique, results, plan.total_instructions,
+                      wall)
 
 
 def sample_workload(workload: str, technique: str = "nowp",
@@ -648,30 +523,27 @@ def sample_workload(workload: str, technique: str = "nowp",
     cfg.validate()
     start = time.perf_counter()
     built = build_job_workload(workload, scale, seed)
+    if engine is None:
+        return simulate_sampled(built.program, technique, cfg,
+                                detail_length, fastforward_length,
+                                max_instructions, name=built.name)
     plan = functional_pass(built.program, cfg,
                            detail_length=detail_length,
                            fastforward_length=fastforward_length,
                            max_instructions=max_instructions)
-    if engine is None:
-        results = [_run_interval(built.program, cfg, technique, snap,
-                                 length, workload=built.name)
-                   for snap, length in plan.intervals]
-    else:
-        jobs = [SampleIntervalJob(
-            workload=workload, technique=technique, scale=scale,
-            seed=seed, base_config=base_config,
-            config_overrides=overrides, index=snap.index, length=length,
-            snapshot=snap.to_dict())
-            for snap, length in plan.intervals]
-        outcomes = engine.run(jobs, fresh=fresh)
-        failed = [o for o in outcomes if o.result is None]
-        if failed:
-            details = "; ".join(
-                f"{o.job.label}: {o.error}" for o in failed[:3])
-            raise RuntimeError(
-                f"{len(failed)} interval job(s) failed ({details})")
-        results = [o.result for o in outcomes]
+    jobs = [SampleIntervalJob(
+        workload=workload, technique=technique, scale=scale, seed=seed,
+        base_config=base_config, config_overrides=overrides,
+        index=snap.index, length=length, snapshot=snap.to_dict())
+        for snap, length in plan.intervals]
+    outcomes = engine.run(jobs, fresh=fresh)
+    failed = [o for o in outcomes if o.result is None]
+    if failed:
+        details = "; ".join(
+            f"{o.job.label}: {o.error}" for o in failed[:3])
+        raise RuntimeError(
+            f"{len(failed)} interval job(s) failed ({details})")
+    results = [o.result for o in outcomes]
     wall = time.perf_counter() - start
-    detailed = sum(r.stats.instructions for r in results)
     return _aggregate(built.name, technique, results,
-                      plan.total_instructions - detailed, wall)
+                      plan.total_instructions, wall)

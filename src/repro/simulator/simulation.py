@@ -57,11 +57,10 @@ def build_frontend(program: Program, cfg: CoreConfig,
     its own copy of the branch predictor.  Every technique gets the
     same wrong-path budget: the ROB plus the frontend buffer.
     """
-    emulate_wp = technique == WrongPathEmulation.name
     return FunctionalFrontend(
-        program, Memory(), emulate_wrong_path=emulate_wp,
+        program, Memory(),
         predictor=BranchPredictorUnit.from_config(cfg)
-        if emulate_wp else None,
+        if technique == WrongPathEmulation.name else None,
         wp_limit=cfg.rob_size + cfg.wp_frontend_buffer)
 
 

@@ -10,7 +10,10 @@ workloads under all four techniques against committed SHA-256 digests.
 It pins the two other drivers of the same timing model the same way: a
 2-core shared-LLC :class:`MulticoreSimulator` run (per-core counters,
 shared-LLC stats, outputs) and trace replay through
-:func:`simulate_trace`.
+:func:`simulate_trace`.  The sampled cells pin
+:meth:`SampledResult.digest` of :func:`sample_workload` on the same two
+workloads: the functional pass, the snapshots it captures and the
+detailed intervals restored from them.
 
 Beside the digests, ``tests/data/jit_counts_golden.json`` pins how many
 instructions each compiled block layer ran in the single-core runs
@@ -36,6 +39,7 @@ import pytest
 from repro.core.config import CoreConfig
 from repro.functional.trace import InstructionTrace, simulate_trace
 from repro.multicore import MulticoreSimulator
+from repro.simulator.sampling import sample_workload
 from repro.simulator.simulation import ALL_TECHNIQUES, Simulator
 from repro.workloads import build_workload
 
@@ -51,6 +55,10 @@ TRACE_WORKLOAD = "gap.bfs"
 TRACE_TECHNIQUES = ("nowp", "instrec", "conv")
 MULTICORE_KEY = "multicore/" + "+".join(MULTICORE_WORKLOADS)
 TRACE_KEY = "trace/" + TRACE_WORKLOAD
+#: Sampling plan of the sampled cells: 2000 detailed instructions after
+#: every 6000 warmed ones, capped like the single-core cells.
+SAMPLE_PLAN = dict(scale="small", max_instructions=MAX_INSTRUCTIONS,
+                   detail_length=2000, fastforward_length=6000)
 
 
 def _digest(result_dict: dict) -> str:
@@ -167,9 +175,20 @@ def test_trace_replay_matches_golden_digest(technique, goldens, trace):
         f"{key}: trace replay diverged from the committed golden")
 
 
+@pytest.mark.parametrize("workload", WORKLOADS)
+@pytest.mark.parametrize("technique", ALL_TECHNIQUES)
+def test_sampled_matches_golden_digest(workload, technique, goldens):
+    key = f"sample/{workload}/{technique}"
+    assert key in goldens, f"no committed digest for {key}"
+    result = sample_workload(workload, technique=technique, **SAMPLE_PLAN)
+    assert result.digest() == goldens[key], (
+        f"{key}: sampled simulation diverged from the committed golden")
+
+
 def test_golden_file_covers_all_configs(goldens, jit_counts):
     single = {f"{w}/{t}" for w in WORKLOADS for t in ALL_TECHNIQUES}
     expected = set(single)
+    expected |= {f"sample/{key}" for key in single}
     expected |= {f"{MULTICORE_KEY}/{t}" for t in MULTICORE_TECHNIQUES}
     expected |= {f"{TRACE_KEY}/{t}" for t in TRACE_TECHNIQUES}
     assert set(goldens) == expected

@@ -4,8 +4,10 @@ import pytest
 
 from repro import CoreConfig, Simulator
 from repro.minicc import compile_to_program
-from repro.simulator.sampling import (SampledResult, simulate_sampled,
-                                      simulate_sampled_checkpointed)
+from repro.simulator.sampling import (SampledResult, functional_pass,
+                                      simulate_sampled)
+from repro.simulator.simulation import ALL_TECHNIQUES
+from repro.simulator.snapshot import SimSnapshot
 
 SOURCE = """
 int table[4096];
@@ -28,9 +30,20 @@ void main() {
 """
 
 
+#: Registry kernels the two exactness oracles run on, at tiny scale.
+ORACLE_KERNELS = ("gap.bfs", "spec.int.hashjoin_like", "gap.pr")
+
+
 @pytest.fixture(scope="module")
 def program():
     return compile_to_program(SOURCE)
+
+
+@pytest.fixture(scope="module")
+def kernels():
+    from repro.workloads import build_workload
+    return {name: build_workload(name, scale="tiny", check=False).program
+            for name in ORACLE_KERNELS}
 
 
 class TestSampling:
@@ -112,23 +125,6 @@ class TestSampling:
         assert result.stats.wp_trace_missing == 0
         assert result.stats.wp_executed > 0
 
-    def test_warm_gating_pins_detailed_results(self, program):
-        """Gating wrong-path emulation off during fast-forward warming is
-        pure wasted-work elimination: every counter of the detailed
-        intervals must be bit-identical with the gate on or off."""
-        cfg = CoreConfig.scaled()
-        gated = simulate_sampled(program, technique="wpemul", config=cfg,
-                                 detail_length=5000,
-                                 fastforward_length=15_000,
-                                 gate_warm_wp=True)
-        ungated = simulate_sampled(program, technique="wpemul", config=cfg,
-                                   detail_length=5000,
-                                   fastforward_length=15_000,
-                                   gate_warm_wp=False)
-        assert gated.stats.counters() == ungated.stats.counters()
-        assert gated.total_instructions == ungated.total_instructions
-        assert gated.intervals == ungated.intervals
-
     def test_parameter_validation(self, program):
         with pytest.raises(ValueError):
             simulate_sampled(program, detail_length=0)
@@ -163,32 +159,58 @@ class TestSampling:
 
 
 class TestCheckpointedSampling:
-    def test_matches_streaming_bit_exactly(self, program):
-        """Checkpoint/restore is lossless: running every detailed
-        interval from its snapshot in a fresh core must reproduce the
-        streaming sampler's counters bit-for-bit — including under
-        wpemul, whose frontend predictor copy rides in the snapshot."""
+    @pytest.mark.parametrize("workload", ORACLE_KERNELS)
+    @pytest.mark.parametrize("technique", ALL_TECHNIQUES)
+    def test_one_interval_matches_full_detail(self, kernels, workload,
+                                              technique):
+        """Restore is lossless: with no fast-forward and one interval
+        longer than the program, the interval restored from the
+        snapshot at position 0 reproduces ``Simulator.run()`` on every
+        counter, including wpemul's frontend predictor copy."""
         cfg = CoreConfig.scaled()
-        for technique in ("conv", "wpemul"):
-            stream = simulate_sampled(program, technique, cfg,
-                                      detail_length=5000,
-                                      fastforward_length=15_000)
-            chk = simulate_sampled_checkpointed(program, technique, cfg,
-                                                detail_length=5000,
-                                                fastforward_length=15_000)
-            assert chk.stats.counters() == stream.stats.counters()
-            assert chk.detailed_instructions == stream.detailed_instructions
-            assert chk.total_instructions == stream.total_instructions
-            assert chk.intervals == stream.intervals
-            assert chk.mode == "checkpoint"
-            assert len(chk.interval_results) == chk.intervals
+        program = kernels[workload]
+        full = Simulator(program, config=cfg, technique=technique).run()
+        sampled = simulate_sampled(program, technique, cfg,
+                                   detail_length=10 * full.instructions,
+                                   fastforward_length=0)
+        assert sampled.intervals == 1
+        assert sampled.warmed_instructions == 0
+        assert sampled.stats.counters() == full.stats.counters()
+
+    @pytest.mark.parametrize("workload", ORACLE_KERNELS)
+    def test_warm_images_match_capped_nowp_run(self, kernels, workload):
+        """Warming is exact: at every boundary, the cache hierarchy,
+        predictor and code-cache images the functional pass snapshots
+        equal those of a nowp ``Simulator`` capped there (its timing
+        model touches them in program order, never on a wrong path)."""
+        cfg = CoreConfig.scaled()
+        program = kernels[workload]
+        plan = functional_pass(program, cfg, detail_length=2000,
+                               fastforward_length=6000,
+                               max_instructions=16_000)
+        assert [snap.position for snap, _ in plan.intervals] == \
+            [6000, 14_000]
+        for snap, _ in plan.intervals:
+            sim = Simulator(program, config=cfg, technique="nowp",
+                            max_instructions=snap.position)
+            sim.run()
+            ref = SimSnapshot.capture(snap.index, sim.frontend,
+                                      sim.hierarchy, sim.bpu,
+                                      sim.core.code_cache)
+            assert snap.hierarchy == ref.hierarchy
+            assert snap.bpu == ref.bpu
+            assert snap.code_cache == ref.code_cache
 
     def test_checkpointed_respects_cap(self, program):
-        result = simulate_sampled_checkpointed(
-            program, "nowp", CoreConfig.scaled(),
-            detail_length=1000, fastforward_length=1000,
-            max_instructions=5000)
-        assert result.total_instructions <= 5000
+        """A cap inside a detailed interval clamps that interval's
+        planned length, and the plan stops there."""
+        result = simulate_sampled(program, "nowp", CoreConfig.scaled(),
+                                  detail_length=1000,
+                                  fastforward_length=1000,
+                                  max_instructions=3500)
+        assert result.total_instructions == 3500
+        assert [r["requested"] for r in result.interval_results] == \
+            [1000, 500]
 
 
 class TestSampleIntervalJob:

@@ -729,6 +729,44 @@ class TestFallback:
 
 
 class TestCLIThroughDaemon:
+    @staticmethod
+    def _record_clients(monkeypatch):
+        """The daemon clients CLI commands connect from here on."""
+        import repro.service
+        real = repro.service.connect_or_none
+        clients = []
+
+        def recording(*args, **kwargs):
+            client = real(*args, **kwargs)
+            if client is not None:
+                clients.append(client)
+            return client
+
+        monkeypatch.setattr(repro.service, "connect_or_none", recording)
+        return clients
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--workloads", "bfs", "--techniques", "conv",
+         "--scale", "tiny", "--max-instructions", "2000"],
+        ["fuzz", "--seed", "3", "--budget", "2", "--quiet",
+         "--no-shrink"],
+    ], ids=["sweep", "fuzz"])
+    def test_command_closes_its_daemon_client(self, daemon, argv,
+                                              tmp_path, monkeypatch):
+        clients = self._record_clients(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--daemon", daemon.socket_path]) == 0
+        assert clients, "the command never connected to the daemon"
+        assert all(c._sock.fileno() == -1 for c in clients)
+
+    def test_compare_daemon_flag_selects_engine_path(self, daemon):
+        """--daemon alone, without --jobs, submits through the daemon."""
+        assert main(["compare", "gap.bfs", "--scale", "tiny",
+                     "--max-instructions", "2000",
+                     "--daemon", daemon.socket_path]) == 0
+        with ServiceClient(daemon.socket_path) as client:
+            assert client.status()["counters"]["submitted"] == 4
+
     def test_sweep_uses_daemon(self, daemon, capsys):
         code = main(["sweep", "--workloads", "bfs",
                      "--techniques", "conv", "--scale", "tiny",

@@ -133,8 +133,7 @@ class TestRestore:
         restored from the same image as the timing BPU."""
         cfg, _, _, snap = _warm_snapshot(program)
         _, copy_bpu, _ = _make_components(cfg)
-        fresh = FunctionalFrontend(program, Memory(), predictor=copy_bpu,
-                                   emulate_wrong_path=True)
+        fresh = FunctionalFrontend(program, Memory(), predictor=copy_bpu)
         _, timing_bpu, _ = _make_components(cfg)
         snap.restore(fresh, bpu=timing_bpu)
         assert copy_bpu.state_dict() == timing_bpu.state_dict()
