@@ -87,7 +87,9 @@ def _add_engine(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--timeout", type=float, default=None, metavar="S",
                         help="per-job timeout in seconds (pool mode only)")
     parser.add_argument("--retries", type=int, default=1, metavar="N",
-                        help="extra attempts per failed job (default: 1)")
+                        help="extra attempts per failed job; a job whose "
+                             "worker died beside other jobs gets one more, "
+                             "alone (default: 1)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="result cache root (default: $REPRO_CACHE_DIR "
                              "or .repro-cache)")
@@ -942,7 +944,9 @@ def make_parser() -> argparse.ArgumentParser:
     serve.add_argument("--timeout", type=float, default=None,
                        metavar="S", help="per-attempt job timeout")
     serve.add_argument("--retries", type=int, default=1, metavar="N",
-                       help="extra attempts per failed job (default: 1)")
+                       help="extra attempts per failed job; a job whose "
+                            "worker died beside other jobs gets one more, "
+                            "alone (default: 1)")
     serve.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="result cache root (default: "
                             "$REPRO_CACHE_DIR or .repro-cache)")

@@ -122,7 +122,7 @@ class OoOCore:
     def _compile_timing(self, pc: int):
         """Resolve the timing superhandler for the block at ``pc``.
 
-        Behind the shared warm gate (blocks executed once never pay a
+        Behind the shared warm gate (cold blocks never pay a
         render/compile) and cached in the code cache's pc map; the
         compiled function itself comes from the process-wide pure pool,
         so repeat cores for the same program and config skip compilation
@@ -136,9 +136,8 @@ class OoOCore:
     def _build_timing(self, pc: int):
         instrs, stop = self.code_cache._block(pc)
         if not instrs:
-            # Neither cached nor warm-counted: the scalar path inserts
-            # this pc (flushing _timing anyway), and a miss block can
-            # grow on re-walk.
+            # Nothing cached: the scalar path inserts this pc (flushing
+            # _timing anyway), and a miss block can grow on re-walk.
             return None
         return timingblock.compile_timing(
             instrs, self.cfg, self.ports.hot, self._line_shift,

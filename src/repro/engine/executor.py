@@ -127,7 +127,8 @@ class ExperimentEngine:
     ``jobs`` is the worker-process count (default ``os.cpu_count()``);
     ``jobs=1`` runs everything serially in-process.  ``timeout`` bounds
     each attempt's wall time in pool mode; ``retries`` bounds extra
-    attempts after a failure or timeout.
+    attempts after a failure or timeout (a worker death shared with
+    other jobs adds one free re-run, see :mod:`repro.engine.scheduler`).
     """
 
     def __init__(self, store: Optional[ResultStore] = None,

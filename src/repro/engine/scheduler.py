@@ -20,7 +20,12 @@ Failure semantics (DESIGN.md §6):
 * a dead worker (``BrokenProcessPool``) replaces the pool once, however
   many attempts died with it, and each of their jobs retries alone on
   the pool, so a worker that dies again takes no other job's attempt;
-* ``retries`` extra attempts per job, then a ``"failed"`` outcome.
+* a death is charged to a job's retry budget only when the job may be
+  its cause: an attempt that died on a pool of several workers, with
+  other jobs in flight beside it, may have died for another job's
+  worker, so its job gets one free re-run, alone;
+* ``retries`` extra attempts per job, then a ``"failed"`` outcome, so
+  a job runs at most ``retries + 2`` times.
 
 Outcomes are plain dicts in the wire shape (``status``/``cached``/
 ``attempts``/``wall_seconds``/``error``/``result`` payload).  Every
@@ -176,7 +181,9 @@ class Scheduler:
         abandoned: List[dict] = []
         alone = False
         attempt = 0
-        for attempt in range(1, self.retries + 2):
+        runs = self.retries + 1
+        while attempt < runs:
+            attempt += 1
             async with self._slot(alone):
                 if attempt == 1:
                     # The job's wall time starts with its first attempt
@@ -205,9 +212,16 @@ class Scheduler:
                     payload = await wrapped
                 except BrokenProcessPool:
                     # A worker died mid-attempt (OOM-kill, crash), and
-                    # every attempt on its pool died with it.
+                    # every attempt on its pool died with it.  An
+                    # attempt that had the pool to itself is the
+                    # culprit; one that may have shared it with another
+                    # job re-runs alone without using the budget, which
+                    # happens at most once per job.
                     error = "worker process died (BrokenProcessPool)"
                     self._replace_pool(pool)
+                    if not alone and self.workers > 1 \
+                            and len(self._in_flight) > 1:
+                        runs += 1
                     alone = True
                     continue
                 except Exception as exc:  # noqa: BLE001 — job is the fault unit

@@ -62,7 +62,7 @@ class CodeCache:
         # block pool (superblock._POOL), so this map is only the
         # pc -> artifact index.  ``_timing_warm`` holds pre-compile
         # execution counts; it is a heuristic (never affects results)
-        # and survives block invalidation deliberately.
+        # and survives block invalidation and restores deliberately.
         self._timing: dict = {}
         self._timing_warm: dict = {}
         # Same scheme for the wrong-path stream superhandlers
@@ -191,9 +191,8 @@ class CodeCache:
         self._entries = entries
         self._blocks.clear()
         # Compiled attachments never round-trip through snapshot images:
-        # first use re-attaches them against the restored contents.
+        # first use re-attaches them against the restored contents.  The
+        # warm counts are not snapshot state, so a restore keeps them.
         self._artifacts.clear()
         self._timing.clear()
-        self._timing_warm.clear()
         self._wpstream.clear()
-        self._wpstream_warm.clear()

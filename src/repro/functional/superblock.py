@@ -2,15 +2,16 @@
 
 The emulator's per-opcode handlers (``emulator._build_handlers``) already
 make one instruction cost a single flat call.  This module takes the next
-step (DESIGN.md "Hot path architecture"): on first execution of a basic
-block — a maximal straight-line run of compilable instructions ending at
-the first control instruction — it renders *one* flat function for the
-whole block and caches it, so steady-state execution pays one dispatch
-per block instead of one per instruction.  Everything static about the
-block is baked into the rendered source as literals: register indices,
-immediates, pcs, fall-through/branch targets, and the per-instruction
-sequence-number offsets of the :class:`~repro.frontend.dyninstr.DynInstr`
-records the correct-path variant emits.
+step (DESIGN.md "Hot path architecture"): once a basic block — a
+maximal straight-line run of compilable instructions ending at the
+first control instruction — is warm (:func:`compile_when_warm`), it
+renders *one* flat function for the whole block and caches it, so
+steady-state execution pays one dispatch per block instead of one per
+instruction.  Everything static about the block is baked into the
+rendered source as literals: register indices, immediates, pcs,
+fall-through/branch targets, and the per-instruction sequence-number
+offsets of the :class:`~repro.frontend.dyninstr.DynInstr` records the
+correct-path variant emits.
 
 Three variants are rendered from the same template tables:
 
@@ -46,6 +47,7 @@ whitelist, exactly as it audits the per-opcode handler templates.
 
 from __future__ import annotations
 
+import contextlib
 import struct
 from typing import Dict, List, Optional, Tuple
 
@@ -438,10 +440,12 @@ _POOL: dict = {}
 
 #: Most code objects :data:`_POOL` holds; a miss beyond it evicts the
 #: least recently used entry.  Sized on perfbench ``serve`` (seed 1, a
-#: 2-vCPU VM), whose two daemon workers grow to about 2,700 and 3,800
-#: entries unbounded: at 3072 its median request time matches the
-#: unbounded pool's and its peak RSS is 6-7% above per-job caching;
-#: 2048 gives back part of the speed-up, 4096 costs memory for none.
+#: 2-vCPU VM) when every layer compiled a block on its second visit:
+#: its two daemon workers grew to about 2,700 and 3,800 entries
+#: unbounded, and at 3072 its median request time matched the
+#: unbounded pool's at 6-7% more peak RSS than per-job caching.  Not
+#: re-measured for the break-even gate, under which far fewer blocks
+#: compile.
 POOL_LIMIT = 3072
 
 
@@ -523,39 +527,57 @@ def compile_items_builder(instrs, item_cls, label: str = "<wpitems>"):
 #: from the dict-miss None so hot callers test truthiness only).
 UNCOMPILABLE: tuple = ()
 
-#: Executions of an entry pc before its block is compiled.  Roughly half
-#: of all discovered blocks run exactly once (init/error paths), and
-#: those stay scalar.  Compiling the rest is not cheap: in
-#: perfbench's traced branchy run (seed 1, 2-vCPU x86 VM; every round
-#: starts with an empty code pool) ``compile()`` took 5.3%, 9.3% and
-#: 7.5% of ``simulator.run`` for the functional, timing and wrong-path
-#: layers (``*.compile_s`` over ``simulator.run_s``), 22% in all.
+#: Cold visits of an entry pc, counted per cache (one simulation's
+#: layer) and never dropped, before its block is compiled or its code
+#: bound from :data:`_POOL`: a break-even count, so that a block
+#: compiles only once it has run often enough to pay for its render and
+#: ``compile()``, and short jobs stay scalar.  At 2, the value before, a
+#: fresh process running 48 tiny 1000-instruction conv/wpemul jobs
+#: spent 4.7 s of its 6.3 s of simulation in ``compile()`` (1.2 s
+#: forced scalar).  ``tools/perf_ab.py`` medians, 3 alternating pairs
+#: per workload, 2-vCPU VM: 2 -> 256 raised sweep ``jobs_per_s`` 13.2
+#: -> 65.7 (seed 1) and 12.8 -> 68.4 (seed 7919), left branchy ``kips``
+#: the same and slowed serve's median request 61.8 -> 70.9 ms (seed 1;
+#: DESIGN.md §12.2).  128 and 512 were no better than 256 on any
+#: workload.
 #: Scalar and compiled execution are observationally identical, so the
-#: threshold never affects simulation results, only warmup cost.  Every
-#: compiled block layer reads this one binding through
-#: :func:`compile_when_warm`.
-COMPILE_THRESHOLD = 2
+#: threshold never affects simulation results, only when blocks
+#: compile.  Every compiled block layer reads this one binding through
+#: :func:`compile_when_warm`; :func:`forced_threshold` overrides it.
+COMPILE_THRESHOLD = 256
+
+
+@contextlib.contextmanager
+def forced_threshold(threshold: int):
+    """Run the block with :data:`COMPILE_THRESHOLD` at ``threshold``
+    (1 compiles every block on its first visit, ``10**9`` none)."""
+    global COMPILE_THRESHOLD
+    saved = COMPILE_THRESHOLD
+    COMPILE_THRESHOLD = threshold
+    try:
+        yield
+    finally:
+        COMPILE_THRESHOLD = saved
 
 
 def compile_when_warm(warm: dict, compiled: dict, pc: int, build):
     """The warm gate shared by every compiled block layer.
 
-    Counts one cold visit of ``pc`` in ``warm`` and returns
+    Counts one cold visit of ``pc`` in ``warm``, the calling cache's
+    own counts for its layer, which are never dropped, and returns
     :data:`UNCOMPILABLE` (nothing cached, so the caller's scalar path
-    runs and the next visit lands here again) until ``pc`` has been
-    visited :data:`COMPILE_THRESHOLD` times.  Then ``build(pc)`` makes
-    the entry, which is cached in ``compiled`` and ends the warm count
-    — unless ``build`` returns None: nothing can be compiled at ``pc``
-    yet, so nothing is cached and the warm count stays as it was.
+    runs and the next visit lands here again) until the count reaches
+    :data:`COMPILE_THRESHOLD`.  Then ``build(pc)`` makes the entry,
+    which is cached in ``compiled`` — unless ``build`` returns None:
+    nothing can be compiled at ``pc`` yet, so nothing is cached.
     """
     seen = warm.get(pc, 0) + 1
+    warm[pc] = seen
     if seen < COMPILE_THRESHOLD:
-        warm[pc] = seen
         return UNCOMPILABLE
     entry = build(pc)
     if entry is None:
         return UNCOMPILABLE
-    warm.pop(pc, None)
     compiled[pc] = entry
     return entry
 
@@ -585,8 +607,7 @@ class SuperblockCache:
         self._correct: dict = {}
         #: pc -> (run, length) | UNCOMPILABLE
         self._wrong: dict = {}
-        #: Warmup counters: entry-pc -> executions seen while cold
-        #: (dropped once the pc is resolved into the mode dict).
+        #: Entry-pc -> cold visits, per mode (see compile_when_warm).
         self._warm_correct: dict = {}
         self._warm_wrong: dict = {}
 

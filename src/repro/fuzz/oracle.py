@@ -35,6 +35,13 @@ reference, applying the oracle battery (DESIGN.md §9):
     (``frontend == "isa"``, see :mod:`repro.fuzz.progen`): a program
     whose address registers consume loaded values can legitimately
     disagree through wrong-path-time vs correct-path-time memory.
+``jit``
+    Each technique rerun with the warm gate forced eager (every block
+    compiled on its first visit) reproduces the default-gate run: the
+    same ``to_dict()`` minus ``wall_seconds`` and the same episode
+    stream.  At the default gate most blocks of a short case stay
+    scalar, so this is the oracle that runs the compiled block layers
+    at fuzz scale against the scalar reference path.
 
 :class:`FuzzCaseJob` adapts a case to the PR-1 experiment engine
 (``kind="fuzz"`` in :data:`repro.engine.job.JOB_KINDS`), which is how
@@ -53,7 +60,7 @@ from repro.core.config import CoreConfig
 
 #: Oracles applied to every case.
 BASE_ORACLES = ("build", "crash", "arch", "roundtrip", "episode-align",
-                "perfect-cycles")
+                "perfect-cycles", "jit")
 
 #: The episode-identity tuple both techniques must agree on.
 _EPISODE_IDENTITY = ("branch_pc", "branch_kind", "predicted_target",
@@ -250,12 +257,31 @@ def _diff_keys(a: dict, b: dict) -> List[str]:
     return sorted(k for k in a if a[k] != b[k])
 
 
+def _timeless(result) -> dict:
+    data = result.to_dict()
+    data.pop("wall_seconds")  # host timing is not deterministic
+    return data
+
+
+def _simulate(case: FuzzCase, program, config, technique: str):
+    """One technique's run of ``case``: ``(simulator, result, episode
+    records)``; raises what the simulator raises."""
+    from repro.obs import Observability
+    from repro.simulator.simulation import Simulator
+
+    obs = Observability(keep_episodes=True, record_addresses=True,
+                        label=f"{case.case_id}-{technique}")
+    sim = Simulator(program, config=config, technique=technique,
+                    max_instructions=case.max_instructions,
+                    name=case.case_id, obs=obs)
+    return sim, sim.run(), obs.records
+
+
 def run_case(case: FuzzCase) -> CaseOutcome:
     """Execute one case under the full oracle battery."""
     from repro.functional.emulator import Emulator
-    from repro.obs import Observability
-    from repro.simulator.simulation import (ALL_TECHNIQUES,
-                                            SimulationResult, Simulator)
+    from repro.functional.superblock import forced_threshold
+    from repro.simulator.simulation import ALL_TECHNIQUES, SimulationResult
 
     start = time.perf_counter()
     findings: List[dict] = []
@@ -279,20 +305,12 @@ def run_case(case: FuzzCase) -> CaseOutcome:
     results: Dict[str, object] = {}
     episodes: Dict[str, List[dict]] = {}
     for technique in ALL_TECHNIQUES:
-        obs = Observability(keep_episodes=True, record_addresses=True,
-                            label=f"{case.case_id}-{technique}")
-        sim = Simulator(program, config=config, technique=technique,
-                        max_instructions=case.max_instructions,
-                        name=case.case_id, obs=obs)
         try:
-            result = sim.run()
+            sims[technique], results[technique], episodes[technique] = \
+                _simulate(case, program, config, technique)
         except Exception as exc:  # noqa: BLE001 — crash oracle
             findings.append({"oracle": "crash", "technique": technique,
                              "detail": f"{type(exc).__name__}: {exc}"})
-            continue
-        sims[technique] = sim
-        results[technique] = result
-        episodes[technique] = obs.records
 
     reference = Emulator(program)
     try:
@@ -423,5 +441,29 @@ def run_case(case: FuzzCase) -> CaseOutcome:
                               f"({wrong} bpu, "
                               f"{result.stats.mispredict_windows} "
                               f"windows)"})
+
+    # -- jit: every block compiled on its first visit changes nothing -------
+    if results:
+        checks.append("jit")
+        with forced_threshold(1):
+            for technique, result in sorted(results.items()):
+                try:
+                    _, eager, eager_episodes = _simulate(
+                        case, program, config, technique)
+                except Exception as exc:  # noqa: BLE001 — jit oracle
+                    findings.append({
+                        "oracle": "jit", "technique": technique,
+                        "detail": f"eager gate: "
+                                  f"{type(exc).__name__}: {exc}"})
+                    continue
+                diff = _diff_keys(_timeless(result), _timeless(eager))
+                if eager_episodes != episodes[technique]:
+                    diff.append("episodes")
+                if diff:
+                    findings.append({
+                        "oracle": "jit", "technique": technique,
+                        "detail": f"eager gate diverges from the default "
+                                  f"gate in {diff}",
+                        "fields": diff})
 
     return done(instructions)

@@ -148,7 +148,7 @@ def _compile_stream_block(core: OoOCore, pc: int) -> tuple:
     """Compiled wrong-path stream entry for the block at ``pc``.
 
     Behind the shared warm gate, like the other superhandler layers:
-    one-shot code never pays a render.  A block the stream templates
+    cold code never pays a render.  A block the stream templates
     do not cover (pc not cached, or a load with no destination) is
     cached as the empty entry, so the scalar executor times it; the
     next insert flushes ``_wpstream`` and lets an empty block grow.

@@ -258,8 +258,9 @@ class TestDeadWorker:
 
     def test_exhausted_budget_fails_without_running_in_process(
             self, monkeypatch):
-        """retries=0 and the pooled attempt died with the pool: the job
-        fails, and nothing runs it in the calling process."""
+        """retries=0 and every attempt dies with its pool: the shared
+        first attempts are free, the lone second ones are charged, the
+        jobs fail, and nothing runs them in the calling process."""
         engine = ExperimentEngine(jobs=2, retries=0)
         fake_pools(engine, monkeypatch, dead)
         runs = []
@@ -267,7 +268,7 @@ class TestDeadWorker:
                             lambda self: runs.append(self.label))
         outcomes = engine.run([SleepJob("a"), SleepJob("b")])
         assert [o.status for o in outcomes] == ["failed", "failed"]
-        assert [o.attempts for o in outcomes] == [1, 1]
+        assert [o.attempts for o in outcomes] == [2, 2]
         assert all("BrokenProcessPool" in o.error for o in outcomes)
         assert runs == []
 
@@ -325,22 +326,27 @@ class TestRealPool:
         assert engine.abandoned == []
         assert made == [2]
 
-    def test_crashing_worker_fails_only_its_job(self):
-        """A job whose worker process dies, among five that sleep: the
-        calling process survives, the crashing job fails and the rest
-        succeed.  Run in a subprocess, since the failure under test is
-        the caller's own exit."""
+    @staticmethod
+    def _run_crash_script(positions, retries):
+        """Run one crashing job among five 0.2 s sleepers at each of
+        ``positions`` on two real workers, in a subprocess, since the
+        failure under test includes the caller's own exit.  Returns one
+        ``[name, status, attempts, error]`` list per job and run."""
         script = (
             "import json, sys\n"
             "from repro.engine import ExperimentEngine, JOB_KINDS\n"
             "from tests.test_executor_failures import (KINDS, CrashJob,\n"
             "                                          SleepJob)\n"
             "JOB_KINDS.update(KINDS)\n"
-            "jobs = [SleepJob(f's{i}', 0.2) for i in range(5)]\n"
-            "jobs.insert(2, CrashJob('crash'))\n"
-            "outcomes = ExperimentEngine(jobs=2, retries=1).run(jobs)\n"
-            "print(json.dumps([[o.job.name, o.status, o.error]\n"
-            "                  for o in outcomes]))\n")
+            "runs = []\n"
+            f"for position in {tuple(positions)!r}:\n"
+            "    jobs = [SleepJob(f's{i}', 0.2) for i in range(5)]\n"
+            "    jobs.insert(position, CrashJob('crash'))\n"
+            "    outcomes = ExperimentEngine(\n"
+            f"        jobs=2, retries={retries}).run(jobs)\n"
+            "    runs.append([[o.job.name, o.status, o.attempts, o.error]\n"
+            "                 for o in outcomes])\n"
+            "print(json.dumps(runs))\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [os.path.join(ROOT, "src"), ROOT]
             + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
@@ -349,8 +355,28 @@ class TestRealPool:
                               env=env, capture_output=True, text=True,
                               timeout=120)
         assert proc.returncode == 0, proc.stderr
-        outcomes = json.loads(proc.stdout)
-        assert [(name, status) for name, status, _ in outcomes] == \
+        return json.loads(proc.stdout)
+
+    def test_crashing_worker_fails_only_its_job(self):
+        """A job whose worker process dies, among five that sleep: the
+        calling process survives, the crashing job fails and the rest
+        succeed."""
+        outcomes, = self._run_crash_script([2], retries=1)
+        assert [(name, status) for name, status, _, _ in outcomes] == \
             [("s0", "ok"), ("s1", "ok"), ("crash", "failed"),
              ("s2", "ok"), ("s3", "ok"), ("s4", "ok")]
-        assert "BrokenProcessPool" in outcomes[2][2]
+        assert "BrokenProcessPool" in outcomes[2][3]
+
+    def test_dead_worker_is_charged_only_to_a_lone_attempt(self):
+        """With no retries, at every position: the job whose attempt
+        died beside the crashing one re-runs alone for free and
+        succeeds; the crashing job dies again alone and fails after
+        two runs."""
+        for position, outcomes in zip((0, 2, 5), self._run_crash_script(
+                (0, 2, 5), retries=0)):
+            statuses = {name: status for name, status, _, _ in outcomes}
+            assert statuses == dict(
+                {f"s{i}": "ok" for i in range(5)}, crash="failed"), \
+                (position, outcomes)
+            assert outcomes[position][2] == 2
+            assert "BrokenProcessPool" in outcomes[position][3]

@@ -5,7 +5,8 @@ halting programs; the oracle battery passes on the current tree; the
 fuzz loop's findings digest is reproducible (serial == parallel); and
 a deliberately injected convergence address-copy bug is *found* by the
 ``conv-addr`` oracle and *shrunk* to a minimal repro that replays from
-the corpus byte-identically.
+the corpus byte-identically; and a sabotaged compiled timing layer is
+caught by the ``jit`` oracle.
 """
 
 import json
@@ -14,6 +15,7 @@ import random
 import pytest
 
 import repro.wrongpath.convergence as conv_mod
+from repro.core import timingblock
 from repro.core.config import CoreConfig
 from repro.engine.job import job_class
 from repro.functional.emulator import Emulator
@@ -125,6 +127,34 @@ class TestOracle:
             assert outcome.ok, (case.case_id, outcome.findings)
             ran.extend(outcome.checks)
         assert "conv-addr" in ran
+
+
+class TestJitOracle:
+    #: An isa case whose eager-gate runs use every compiled layer.
+    CASE = dict(seed=42, index=2, max_instructions=3000)
+
+    def test_silent_on_a_clean_case(self):
+        outcome = run_case(make_case(**self.CASE))
+        assert "jit" in outcome.checks
+        assert outcome.ok, outcome.findings
+
+    def test_fires_on_a_sabotaged_compiled_layer(self, monkeypatch):
+        # Compiled timing blocks report one load too many; scalar
+        # timing stays right, so only the eager-gate rerun counts them
+        # on every visit.
+        compile_timing = timingblock.compile_timing
+
+        def sabotaged(*args):
+            run, length, ctl, loads, stores, syscalls = \
+                compile_timing(*args)
+            return run, length, ctl, loads + 1, stores, syscalls
+
+        monkeypatch.setattr(timingblock, "compile_timing", sabotaged)
+        outcome = run_case(make_case(**self.CASE))
+        assert outcome.oracles == ["jit"]
+        assert {f["technique"] for f in outcome.findings} == \
+            {"nowp", "instrec", "conv", "wpemul"}
+        assert all(f["fields"] == ["stats"] for f in outcome.findings)
 
 
 class TestEngineAdapter:

@@ -250,6 +250,8 @@ class TestScheduler:
         assert sched.counters["pool_replacements"] == 1
 
     def test_budget_exhaustion_fails_the_job(self):
+        # JOB is the only job in flight on its four workers, so every
+        # death is its own and is charged.
         async def go():
             sched = ScriptedScheduler([broken, broken], retries=1)
             return await sched.submit(JOB)
@@ -257,6 +259,32 @@ class TestScheduler:
         assert out["status"] == "failed" and out["attempts"] == 2
         assert "BrokenProcessPool" in out["error"]
         assert out["result"] is None
+
+    def test_death_beside_another_job_is_free(self):
+        # JOB's worker dies with JOB2 in flight on the same pool, so the
+        # dead worker may have been JOB2's: JOB re-runs alone without
+        # using its budget.
+        async def go():
+            sched = ScriptedScheduler([broken, pending, ok_after(PAYLOAD),
+                                       ok_after(PAYLOAD)], retries=0)
+            return await asyncio.gather(sched.submit(JOB),
+                                        sched.submit(JOB2))
+        first, second = asyncio.run(go())
+        assert first["status"] == "ok" and first["attempts"] == 2
+        assert second["status"] == "ok" and second["attempts"] == 1
+
+    def test_death_on_one_worker_is_charged(self):
+        # One worker: nothing ran beside the dead attempt, however many
+        # jobs wait for the worker, so its death is charged.
+        async def go():
+            sched = ScriptedScheduler([broken, ok_after(PAYLOAD)],
+                                      workers=1, retries=0)
+            return await asyncio.gather(sched.submit(JOB),
+                                        sched.submit(JOB2))
+        first, second = asyncio.run(go())
+        assert first["status"] == "failed" and first["attempts"] == 1
+        assert "BrokenProcessPool" in first["error"]
+        assert second["status"] == "ok" and second["attempts"] == 1
 
     def test_worker_exception_is_an_outcome(self):
         def exploding(job):

@@ -16,7 +16,9 @@ variants of the same run against each other:
   program puts a load into x0 on the wrong path, which the stream
   layer leaves to the scalar executor);
 * the one warm gate: ``superblock.COMPILE_THRESHOLD`` alone keeps every
-  layer cold or makes every layer compile on the first visit;
+  layer cold or makes every layer compile on the first visit, and a
+  block compiles on the visit that brings its cache's count, never
+  dropped, to the threshold;
 * the flattened data-cache fast path against the per-access
   reference implementation under every L2 prefetcher (latencies,
   counters, warm state);
@@ -70,15 +72,11 @@ class _DudSuperblocks:
         return superblock.UNCOMPILABLE
 
 
-@contextlib.contextmanager
 def _eager_thresholds():
-    """Compile every block on first execution (the one warm gate)."""
-    saved = superblock.COMPILE_THRESHOLD
-    superblock.COMPILE_THRESHOLD = 1
-    try:
-        yield
-    finally:
-        superblock.COMPILE_THRESHOLD = saved
+    """Compile every block on its first visit (the one warm gate).  A
+    test that checks compilation forces the gate: at the default gate
+    a short run compiles little or nothing."""
+    return superblock.forced_threshold(1)
 
 
 @contextlib.contextmanager
@@ -113,6 +111,23 @@ def _spy_compiles(monkeypatch) -> list:
 
     monkeypatch.setattr(superblock, "compile", spy, raising=False)
     return calls
+
+
+def _spy_builds(monkeypatch) -> list:
+    """Spy on the warm gate in all three modules that bind it: one
+    ``(warm counts, pc)`` per call of a layer's builder."""
+    built = []
+    gate = superblock.compile_when_warm
+
+    def spy(warm, compiled, pc, build):
+        def spied(pc):
+            built.append((warm, pc))
+            return build(pc)
+        return gate(warm, compiled, pc, spied)
+
+    for module in (superblock, ooo, wp_base):
+        monkeypatch.setattr(module, "compile_when_warm", spy)
+    return built
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +317,8 @@ def test_simulation_matches_scalar_paths(name, technique):
                         name=name)
         return _result_dict(sim), sim
 
-    fast, fast_sim = run()
+    with _eager_thresholds():
+        fast, fast_sim = run()
     assert fast_sim.frontend.superblock_instructions > 0
     assert fast_sim.core.timingblock_instructions > 0
     if technique != "nowp":
@@ -399,18 +415,60 @@ def test_one_threshold_gates_every_layer(technique, monkeypatch):
     assert sim.core.streamblock_instructions == 0
     assert cold == default
 
+    built = _spy_builds(monkeypatch)
     eager, sim = run(1)
     blocks = sim.frontend.emulator.superblocks
     cc = sim.core.code_cache
-    # Compiled on the first visit: no pc ever waits in a warm count.
-    assert not blocks._warm_correct and not blocks._warm_wrong
-    assert not cc._timing_warm and not cc._wpstream_warm
+    # Compiled on the first visit: every counted pc went straight to its
+    # layer's builder, and no pc waits in a warm count.
+    for warm in (blocks._warm_correct, blocks._warm_wrong,
+                 cc._timing_warm, cc._wpstream_warm):
+        assert set(warm) == {pc for counts, pc in built if counts is warm}
+    assert set(blocks._warm_correct) == set(blocks._correct)
+    assert set(blocks._warm_wrong) == set(blocks._wrong)
     assert sim.frontend.superblock_instructions > 0
     assert sim.core.timingblock_instructions > 0
     assert sim.core.streamblock_instructions > 0
     if technique == "wpemul":
         assert blocks._wrong
     assert eager == default
+
+
+# ---------------------------------------------------------------------------
+# Warm counts: each cache counts its own cold visits and never drops them.
+# ---------------------------------------------------------------------------
+
+#: A five-iteration loop: its entry pc is visited five times.
+_FIVE_LOOP = """
+    .text
+    main:
+        li t0, 0
+        li t1, 5
+    loop:
+        addi t0, t0, 1
+        addi t2, t2, 3
+        blt t0, t1, loop
+        li a7, 93
+        ecall
+"""
+
+
+@pytest.mark.parametrize("threshold, compiled", [(3, 3), (5, 1), (6, 0)])
+def test_block_compiles_on_its_threshold_visit(threshold, compiled,
+                                               monkeypatch):
+    # The loop compiles on the visit that brings its count to the
+    # threshold and runs compiled from there on.  A second simulator
+    # counts its own visits: it compiles on the same visit, although
+    # the pool already holds the loop's code.
+    monkeypatch.setattr(superblock, "COMPILE_THRESHOLD", threshold)
+    program = assemble(_FIVE_LOOP)
+    results = []
+    for _ in range(2):
+        sim = Simulator(program, config=CoreConfig.scaled(), name="loop")
+        results.append(_result_dict(sim))
+        assert sim.frontend.superblock_instructions == 3 * compiled
+        assert (sim.core.timingblock_instructions > 0) == (compiled > 0)
+    assert results[0] == results[1]
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +514,8 @@ class TestCodeCacheCompiledMaps:
         sim = Simulator(workload.program, config=CoreConfig.scaled(),
                         technique=technique, max_instructions=4000,
                         name="gap.bfs")
-        sim.run()
+        with _eager_thresholds():
+            sim.run()
         return sim, workload.program
 
     def test_insert_clears_compiled_maps(self):
@@ -471,13 +530,19 @@ class TestCodeCacheCompiledMaps:
         cc.insert(instr)
         assert not cc._timing and not cc._wpstream
 
-    def test_load_state_clears_compiled_maps_and_warmups(self):
+    def test_load_state_clears_compiled_maps_keeps_warm_counts(self):
         sim, program = self._warm_cache()
         cc = sim.core.code_cache
         assert cc._timing and cc._wpstream
+        timing_warm, stream_warm = cc._timing_warm, cc._wpstream_warm
+        counts = (dict(timing_warm), dict(stream_warm))
+        assert all(counts)
         cc.load_state(cc.state_dict(), program.pc_index)
         assert not cc._timing and not cc._wpstream
-        assert not cc._timing_warm and not cc._wpstream_warm
+        # The counts are not snapshot state.
+        assert cc._timing_warm is timing_warm
+        assert cc._wpstream_warm is stream_warm
+        assert (cc._timing_warm, cc._wpstream_warm) == counts
 
     def _run_restored(self, program, image):
         """A conv run whose core starts on a code cache restored from
@@ -508,9 +573,10 @@ class TestCodeCacheCompiledMaps:
         image = sim.core.code_cache.state_dict()
         # Blocks span the whole restored text from the first visit on,
         # so fill the pool with them once.
-        self._run_restored(program, image)
-        compiles = _spy_compiles(monkeypatch)
-        fast, core = self._run_restored(program, image)
+        with _eager_thresholds():
+            self._run_restored(program, image)
+            compiles = _spy_compiles(monkeypatch)
+            fast, core = self._run_restored(program, image)
         assert core.timingblock_instructions > 0
         assert core.streamblock_instructions > 0
         assert compiles == []
@@ -551,9 +617,10 @@ class TestArtifactReuse:
             sim.run()
             return sim
 
-        run()
-        compiles = _spy_compiles(monkeypatch)
-        sim = run()
+        with _eager_thresholds():
+            run()
+            compiles = _spy_compiles(monkeypatch)
+            sim = run()
         # Same program + config: the second simulator compiles nothing,
         # yet still runs through compiled blocks.
         assert compiles == []
