@@ -134,7 +134,7 @@ class OoOCore:
                                  self._build_timing)
 
     def _build_timing(self, pc: int):
-        instrs, stop = self.code_cache._block(pc)
+        instrs, stop = self.code_cache.block(pc)
         if not instrs:
             # Nothing cached: the scalar path inserts this pc (flushing
             # _timing anyway), and a miss block can grow on re-walk.

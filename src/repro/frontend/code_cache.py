@@ -5,25 +5,28 @@ keeping the information of past emulated instructions.  This cache is indexed
 by the instruction address, and keeps the instruction decode information."
 
 The timing simulator inserts every correct-path instruction it processes; the
-wrong-path reconstruction models look up wrong-path addresses here.  If a
-lookup misses, reconstruction stops and the model falls back to halting fetch
-(the default mispredict behaviour).
+wrong-path reconstruction models read wrong-path code from here.  Where the
+code reaches an address the cache does not hold, reconstruction stops and the
+model falls back to halting fetch (the default mispredict behaviour).
 
 The cache is unbounded — the paper's code cache is as large as the set of
 static instructions seen so far, which is tiny compared to data.
 
 Reconstruction walks the same straight-line runs of code over and over (every
-mispredict window re-reads the loop bodies around the branch), so the cache
-additionally memoizes *blocks*: maximal single-entry instruction runs ending
-at the first control instruction, syscall, or missing address.  A block is a
-pure function of the cache contents, so the memo is flushed whenever the
-insert of a new pc changes them — which keeps block replay bit-identical to
-an instruction-by-instruction walk while skipping the per-pc lookups.
+mispredict window re-reads the loop bodies around the branch), so the cache is
+read by *blocks*: maximal single-entry instruction runs ending at the first
+control instruction, syscall, or missing address, memoized by start pc.  A
+block is a pure function of the cache contents, so the memo is flushed
+whenever the insert of a new pc changes them — which keeps block replay
+bit-identical to an instruction-by-instruction walk.  :meth:`CodeCache.block`
+is the one read; the timing layer, the wrong-path stream layer and
+:meth:`CodeCache.block_compiled` all go through it, and the cache keeps no
+statistics.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.isa.instructions import INSTRUCTION_SIZE, Instruction
 
@@ -70,8 +73,6 @@ class CodeCache:
         # () for an empty block; mirrors ``_blocks``' lifetime.
         self._wpstream: dict = {}
         self._wpstream_warm: dict = {}
-        self.lookups = 0
-        self.misses = 0
 
     def insert(self, instr: Instruction) -> None:
         """Record the decode info of a correct-path instruction."""
@@ -86,14 +87,6 @@ class CodeCache:
         self._timing.clear()
         self._wpstream.clear()
 
-    def lookup(self, pc: int) -> Optional[Instruction]:
-        """Decode info for ``pc``, or None (reconstruction must stop)."""
-        self.lookups += 1
-        entry = self._entries.get(pc)
-        if entry is None:
-            self.misses += 1
-        return entry
-
     def block(self, start_pc: int) -> Tuple[tuple, str]:
         """The memoized block starting at ``start_pc``.
 
@@ -102,24 +95,6 @@ class CodeCache:
         first control or syscall instruction, and ``stop`` says why the run
         ended (:data:`BLOCK_CONTROL` / :data:`BLOCK_SYSCALL` /
         :data:`BLOCK_MISS` — a miss block excludes the missing address).
-        The ``lookups``/``misses`` counters are charged as if each covered
-        pc had been :meth:`lookup`-ed individually, so memoization is
-        invisible to cache-statistics consumers.
-        """
-        blk = self._block(start_pc)
-        self.lookups += len(blk[0])
-        if blk[1] is BLOCK_MISS:
-            self.lookups += 1
-            self.misses += 1
-        return blk
-
-    def _block(self, start_pc: int) -> Tuple[tuple, str]:
-        """:meth:`block` minus the lookup/miss charging.
-
-        The timing superhandler path uses this: the batched core loop
-        never charged per-instruction lookups (it only inserts), so its
-        block walks must stay invisible to the cache-statistics
-        consumers that :meth:`block`'s charging serves.
         """
         blk = self._blocks.get(start_pc)
         if blk is None:
@@ -154,8 +129,7 @@ class CodeCache:
         round-trips through an image (DESIGN.md "Hot path
         architecture").
 
-        Returns ``(instructions, stop, artifact)``; lookup/miss charging
-        is exactly :meth:`block`'s.
+        Returns ``(instructions, stop, artifact)``.
         """
         instrs, stop = self.block(start_pc)
         artifact = self._artifacts.get(start_pc, _ABSENT)

@@ -8,10 +8,6 @@ converging pattern the paper describes for GAP.
 
 from __future__ import annotations
 
-import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
-
 from repro.workloads import graphs
 from repro.workloads.base import Workload, build_program
 
@@ -52,18 +48,26 @@ void main() {{
 
 
 def reference(graph: graphs.CSRGraph) -> int:
-    """Sum over vertices of the minimum vertex id in their component."""
-    n = graph.num_nodes
-    matrix = csr_matrix(
-        (np.ones(graph.num_edges, dtype=np.int8),
-         graph.col, graph.row_ptr), shape=(n, n))
-    _, labels = connected_components(matrix, directed=False)
-    min_id = {}
-    for v in range(n):
-        label = labels[v]
-        if label not in min_id:
-            min_id[label] = v  # vertex ids ascend, first hit is the min
-    return int(sum(min_id[labels[v]] for v in range(n)))
+    """Sum over vertices of the minimum vertex id in their component.
+
+    Union-find over the CSR edges, each taken as undirected: a union
+    hangs the larger root under the smaller, so every root is its
+    component's minimum vertex id."""
+    parent = list(range(graph.num_nodes))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    row_ptr, col = graph.row_ptr.tolist(), graph.col.tolist()
+    for u in range(graph.num_nodes):
+        for j in range(row_ptr[u], row_ptr[u + 1]):
+            a, b = find(u), find(col[j])
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    return sum(find(v) for v in range(graph.num_nodes))
 
 
 def build(scale: str = "small", seed: int = 3,

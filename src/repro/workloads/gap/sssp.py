@@ -10,8 +10,6 @@ windows.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from repro.workloads import graphs
 from repro.workloads.base import Workload, build_program
@@ -67,21 +65,10 @@ MAX_ROUNDS = {"tiny": 32, "small": 24, "medium": 16}
 
 
 def reference(graph: graphs.CSRGraph, source: int, max_rounds: int) -> int:
-    """Distance sum.  Bellman-Ford sweeps in vertex order converge to true
-    shortest paths well within ``max_rounds`` for these diameters, so
-    Dijkstra is a valid reference; a Python sweep replica guards the
-    truncated case."""
-    n = graph.num_nodes
-    matrix = csr_matrix((graph.weights.astype(float), graph.col,
-                         graph.row_ptr), shape=(n, n))
-    dist = dijkstra(matrix, directed=True, indices=source)
-    truncated = _sweep_replica(graph, source, max_rounds)
-    exact = int(sum(int(d) for d in dist if np.isfinite(d)))
-    return truncated if truncated is not None else exact
-
-
-def _sweep_replica(graph: graphs.CSRGraph, source: int, max_rounds: int):
-    """Exact replica of the kernel's sweep order (authoritative)."""
+    """Distance sum, from an exact replica of the kernel's sweep order.
+    The sweeps converge to true shortest paths well within
+    ``max_rounds`` for these diameters, and the replica also matches a
+    truncated run."""
     n = graph.num_nodes
     dist = np.full(n, INF, dtype=np.int64)
     dist[source] = 0

@@ -156,7 +156,7 @@ def _compile_stream_block(core: OoOCore, pc: int) -> tuple:
     cc = core.code_cache
 
     def build(pc):
-        instrs, _stop = cc._block(pc)
+        instrs, _stop = cc.block(pc)
         entry = streamblock.compile_stream(instrs, core.cfg,
                                            core.ports.hot,
                                            core._line_shift,

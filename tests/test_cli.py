@@ -1,5 +1,7 @@
 """Tests for the command-line interface (driven in-process)."""
 
+import argparse
+import json
 import os
 import subprocess
 import sys
@@ -7,6 +9,36 @@ import sys
 import pytest
 
 from repro.cli import main, make_parser
+
+#: The argparse surface of every subcommand, recorded from the parser
+#: before ``cli.py`` was split into the ``repro.cli`` package.
+SURFACE_GOLDEN = os.path.join(os.path.dirname(__file__), "data",
+                              "cli_surface_golden.json")
+
+
+def cli_surface(parser: argparse.ArgumentParser) -> dict:
+    """Each subcommand's arguments, keyed by option strings (or the
+    positional's name): whether it takes a value, its type, choices,
+    default (when it takes a value) and ``required``.  ``dest``, flag
+    defaults and help text are left out on purpose."""
+    sub = next(action for action in parser._actions
+               if isinstance(action, argparse._SubParsersAction))
+    surface = {}
+    for command, subparser in sub.choices.items():
+        arguments = {}
+        for action in subparser._actions:
+            takes_value = action.nargs != 0
+            entry = {"takes_value": takes_value,
+                     "type": getattr(action.type, "__name__", None),
+                     "choices": (list(action.choices)
+                                 if action.choices is not None else None),
+                     "required": action.required}
+            if takes_value:
+                entry["default"] = action.default
+            arguments["/".join(action.option_strings) or action.dest] = \
+                entry
+        surface[command] = arguments
+    return surface
 
 
 def test_import_leaves_the_workload_registry_unloaded():
@@ -23,6 +55,14 @@ def test_import_leaves_the_workload_registry_unloaded():
 
 
 class TestParser:
+    def test_surface_matches_golden(self):
+        with open(SURFACE_GOLDEN) as fh:
+            golden = json.load(fh)
+        surface = cli_surface(make_parser())
+        assert sorted(surface) == sorted(golden)
+        for command in golden:
+            assert surface[command] == golden[command], command
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             make_parser().parse_args([])
@@ -233,3 +273,61 @@ class TestFuzzCommand:
         assert args.budget == 100
         assert args.frontend == "both"
         assert args.corpus == ".fuzz-corpus"
+
+
+@pytest.fixture(scope="module")
+def surrogate_model(tmp_path_factory):
+    """A ridge surrogate fitted to synthetic labels: enough for
+    ``predict`` to run, no simulation needed."""
+    from repro.analysis.surrogate import (LabeledPoint, SurrogateModel,
+                                          sample_grid)
+    jobs = sample_grid(["gap.bfs"], ["conv"], 8, grid_seed=1,
+                       scale="tiny", max_instructions=1000)
+    points = [LabeledPoint(key=job.key, job_dict=job.to_dict(),
+                           ipc=1.0 + 0.05 * i)
+              for i, job in enumerate(jobs)]
+    path = str(tmp_path_factory.mktemp("model") / "model.json")
+    SurrogateModel.train(points, seed=0, kind="ridge").save(path)
+    return path
+
+
+class TestFullConfig:
+    """``--full-config`` selects the full-scale Table I configuration on
+    every command that takes it, and on both of compare's paths (in
+    process, and through the engine)."""
+
+    TINY = ["--scale", "tiny", "--max-instructions", "1000"]
+    COMMANDS = {
+        "run": ["run", "gap.bfs"] + TINY,
+        "compare": ["compare", "gap.bfs"] + TINY,
+        "compare-engine": ["compare", "gap.bfs", "--jobs", "1",
+                           "--no-cache"] + TINY,
+        "sweep": ["sweep", "--workloads", "bfs", "--techniques", "nowp",
+                  "--jobs", "1", "--no-cache"] + TINY,
+        "sample": ["sample", "--workloads", "bfs", "--techniques", "nowp",
+                   "--detail-length", "300", "--ff-length", "300",
+                   "--jobs", "1", "--no-cache"] + TINY,
+        "predict": ["predict", "--workloads", "bfs", "--techniques",
+                    "conv", "--points", "2", "--jobs", "1",
+                    "--no-cache"] + TINY,
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_flag_selects_full_config(self, command, surrogate_model,
+                                      monkeypatch, capsys):
+        from repro.engine import job
+        seen = []
+        resolve_config = job.resolve_config
+
+        def spy(base_config, overrides=None):
+            seen.append(base_config)
+            return resolve_config(base_config, overrides)
+
+        monkeypatch.setattr(job, "resolve_config", spy)
+        argv = list(self.COMMANDS[command])
+        if argv[0] == "predict":
+            argv += ["--model", surrogate_model]
+        for flag, expected in (([], "scaled"), (["--full-config"], "full")):
+            seen.clear()
+            assert main(argv + flag) == 0, capsys.readouterr().err
+            assert seen and set(seen) == {expected}

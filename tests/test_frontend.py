@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.frontend.code_cache import CodeCache
+from repro.frontend.code_cache import BLOCK_MISS, CodeCache
 from repro.frontend.dyninstr import DynInstr
 from repro.frontend.queue import RunaheadQueue
 from repro.isa.instructions import Instruction
@@ -102,13 +102,9 @@ class TestCodeCache:
         cache = CodeCache()
         ins = self.instr_at(0x1000)
         cache.insert(ins)
-        assert cache.lookup(0x1000) is ins
-        assert 0x1000 in cache
-
-    def test_miss_returns_none_and_counts(self):
-        cache = CodeCache()
-        assert cache.lookup(0x2000) is None
-        assert cache.misses == 1 and cache.lookups == 1
+        assert 0x1000 in cache and 0x2000 not in cache
+        assert cache.block(0x1000) == ((ins,), BLOCK_MISS)
+        assert cache.block(0x2000) == ((), BLOCK_MISS)
 
     def test_duplicate_insert_is_noop(self):
         cache = CodeCache()
